@@ -350,15 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--objective", choices=(MAXIMIZE, MINIMIZE), default=MAXIMIZE
     )
-    plan.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "shard the per-vertex RkNNT pre-computation across N worker "
-            "processes (0 = in-process)"
-        ),
-    )
     return parser
 
 
@@ -1136,10 +1127,8 @@ def command_plan(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: start/end must be vertex ids in [0, {network.vertex_count})"
         )
-    if args.workers < 0:
-        raise SystemExit("error: --workers must be non-negative")
     vertex_index = VertexRkNNTIndex(network, processor, k=args.k)
-    vertex_index.build(workers=args.workers)
+    vertex_index.build()
     shortest = vertex_index.shortest_distance(args.start, args.end)
     if shortest == float("inf"):
         raise SystemExit("error: destination is not reachable from the start vertex")

@@ -224,10 +224,8 @@ class RkNNTProcessor:
     ) -> Iterator["ShardedExecutor"]:
         """Keep one worker pool alive across every parallel call in scope.
 
-        Inside the ``with`` block, :meth:`query_batch` (any ``workers > 0``),
-        the planning bulk pre-computation
-        (:meth:`repro.planning.precompute.VertexRkNNTIndex.build`) and
-        :meth:`refresh_subscriptions` all dispatch through this one pool
+        Inside the ``with`` block, :meth:`query_batch` (any ``workers > 0``)
+        and :meth:`refresh_subscriptions` both dispatch through this one pool
         instead of spawning a fresh pool per call — workers keep their
         unpickled context, shared-memory arena attachment and warmed caches
         between calls, so dispatch latency stops scaling with dataset size.

@@ -15,11 +15,17 @@ Answering one RkNNT query needs nothing beyond the two indexes; answering a
 * the **single-point answer cache** — confirmed endpoint maps of single-point
   sub-queries, keyed by ``(point, k, excluded, voronoi)``.  Divide & conquer
   decomposes every query into per-point sub-queries (Lemma 3) and real
-  workloads repeat points heavily (bus stops shared by many routes, network
-  vertices queried by both the planner pre-computation and capacity
-  estimation), so batch workloads hit this cache constantly.
+  workloads repeat points heavily (bus stops shared by many routes), so
+  divide & conquer batches hit this cache constantly.
 
-Both caches are invalidated automatically through the indexes' ``version``
+A third structure serves the planning pre-computation (Algorithm 5), which
+asks one single-point query per bus stop: the **k-th-route radius table**
+(:meth:`ExecutionContext.knn_radii`) — every transition endpoint ``p`` with
+``r_k²(p)``, its ``k``-th smallest squared route distance.  ``p`` is in
+``RkNNT({q})`` iff ``|p − q|² <= r_k²(p)``, so once the table is built each
+stop costs one pass over the endpoints (see ``docs/architecture.md``).
+
+All three are invalidated automatically through the indexes' ``version``
 counters, so dynamic route/transition updates keep the context correct
 without manual cache management.  Invalidation is *delta-aware* for
 transition churn: the context subscribes to the transition index's typed
@@ -44,6 +50,7 @@ and identical under the ``fork`` and ``spawn`` start methods
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -174,6 +181,33 @@ class RouteMatrix:
         return len(self.blocks)
 
 
+class KnnRadii:
+    """Every transition endpoint with its ``k``-th-route radius.
+
+    Attributes
+    ----------
+    points:
+        The endpoints' coordinates, packed via
+        :func:`repro.geometry.kernels.pack_points` on the numpy backend, a
+        list of ``(x, y)`` tuples on the python backend.
+    tags:
+        ``(transition id, 'o' | 'd')`` of each point, in order.
+    radii_sq:
+        ``r_k²`` of each point: its ``k``-th smallest squared distance to a
+        (non-excluded) route, ``inf`` when there are fewer than ``k`` routes.
+    """
+
+    __slots__ = ("points", "tags", "radii_sq")
+
+    def __init__(self, points, tags: List[Tuple[int, str]], radii_sq):
+        self.points = points
+        self.tags = tags
+        self.radii_sq = radii_sq
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+
 class ExecutionContext:
     """Shared per-dataset state for the query-execution engine.
 
@@ -208,6 +242,10 @@ class ExecutionContext:
         self._store_attachment: Optional[object] = None
         self._subqueries: Dict[SubqueryKey, ConfirmedMap] = {}
         self._subquery_versions: Tuple[int, int] = (-1, -1)
+        #: k-th-route radius tables keyed by (k, backend), all built at
+        #: ``_knn_radii_versions``.
+        self._knn_radii: Dict[Tuple[int, str], KnnRadii] = {}
+        self._knn_radii_versions: Tuple[int, int] = (-1, -1)
         #: Cache statistics (useful for benchmark reporting).
         self.subquery_hits = 0
         self.subquery_misses = 0
@@ -296,12 +334,67 @@ class ExecutionContext:
         cut_block()
         return RouteMatrix(blocks)
 
-    # ------------------------------------------------------------------
-    # Single-point sub-query cache (divide & conquer, planning bulk build)
-    # ------------------------------------------------------------------
     def _current_versions(self) -> Tuple[int, int]:
         return (self.route_index.version, self.transition_index.version)
 
+    # ------------------------------------------------------------------
+    # k-th-route radii (single-point planning sweep)
+    # ------------------------------------------------------------------
+    def knn_radii(self, k: int, backend: str = kernels.BACKEND_AUTO) -> KnnRadii:
+        """The k-th-route radius table, rebuilt after dynamic updates.
+
+        Built in O(endpoints × route points) once per ``(k, backend)`` and
+        dataset version.  The numpy backend reduces the route-matrix blocks
+        (:func:`repro.geometry.kernels.kth_route_distance_sq`); the python
+        backend sorts the oracle's own
+        :meth:`~repro.model.route.Route.squared_distance_to_point` values.
+        Both evaluate the same float expressions, so the radii agree
+        bitwise.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        backend = kernels.resolve_backend(backend)
+        versions = self._current_versions()
+        if versions != self._knn_radii_versions:
+            self._knn_radii = {}
+            self._knn_radii_versions = versions
+        table = self._knn_radii.get((k, backend))
+        if table is None:
+            table = self._build_knn_radii(k, backend)
+            self._knn_radii[(k, backend)] = table
+        return table
+
+    def _build_knn_radii(self, k: int, backend: str) -> KnnRadii:
+        coords: List[Tuple[float, float]] = []
+        tags: List[Tuple[int, str]] = []
+        for entry in self.transition_index.tree.entries():
+            for tag in entry.payload:
+                coords.append(entry.point)
+                tags.append((tag.transition_id, tag.endpoint))
+        if backend == kernels.BACKEND_NUMPY:
+            points = kernels.pack_points(coords)
+            blocks = [
+                (block.points, block.offsets) for block in self.route_matrix().blocks
+            ]
+            radii = kernels.kth_route_distance_sq(points, blocks, k)
+            return KnnRadii(points, tags, radii)
+        excluded = self.route_index.excluded_route_ids
+        routes = [
+            route
+            for route in self.route_index.routes
+            if route.route_id not in excluded
+        ]
+        if len(routes) < k:
+            return KnnRadii(coords, tags, [math.inf] * len(coords))
+        radii = [
+            sorted(route.squared_distance_to_point(point) for route in routes)[k - 1]
+            for point in coords
+        ]
+        return KnnRadii(coords, tags, radii)
+
+    # ------------------------------------------------------------------
+    # Single-point sub-query cache (divide & conquer)
+    # ------------------------------------------------------------------
     def _on_transition_delta(self, delta: TransitionDelta) -> None:
         """Record one transition mutation for later cache patching."""
         if self._delta_overflow:
@@ -432,9 +525,9 @@ class ExecutionContext:
 
         Shipping a context to a shard worker (see
         :mod:`repro.engine.parallel`) must serialise the datasets and
-        indexes exactly once — the lazily-built route matrix and the
-        memoised sub-query answers are derived, potentially large, and
-        cheap to rebuild per worker, so they are stripped here.
+        indexes exactly once — the lazily-built route matrix, the radius
+        tables and the memoised sub-query answers are derived, potentially
+        large, and cheap to rebuild per worker, so they are stripped here.
         """
         state = self.__dict__.copy()
         state["_route_matrix"] = None
@@ -443,6 +536,8 @@ class ExecutionContext:
         state["_store_attachment"] = None
         state["_subqueries"] = {}
         state["_subquery_versions"] = (-1, -1)
+        state["_knn_radii"] = {}
+        state["_knn_radii_versions"] = (-1, -1)
         state["subquery_hits"] = 0
         state["subquery_misses"] = 0
         state["subquery_patches"] = 0
@@ -478,6 +573,8 @@ class ExecutionContext:
         self._route_matrix_version = -1
         self._subqueries.clear()
         self._subquery_versions = (-1, -1)
+        self._knn_radii = {}
+        self._knn_radii_versions = (-1, -1)
         self._pending_deltas = []
         self._delta_overflow = False
         self.subquery_hits = 0

@@ -20,7 +20,10 @@ The module-level :func:`execute` function adds the strategy layer on top
 (per-point decomposition for divide & conquer, with sub-query memoisation
 through the :class:`~repro.engine.context.ExecutionContext`) and is what
 :class:`~repro.core.rknnt.RkNNTProcessor` calls — once per query, against
-its shared context, for both single and batch workloads.
+its shared context, for both single and batch workloads.  One further
+strategy, ``KNN_RADIUS``, is internal to the planning pre-computation: it
+answers a single-point query from the context's k-th-route radius table and
+never runs the pipeline.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.core.stats import QueryStatistics
 from repro.engine.context import ExecutionContext
 from repro.engine.filterset import FilterSet
 from repro.engine.plan import (
+    KNN_RADIUS,
     TRAVERSAL_AUTO,
     TRAVERSAL_NODE,
     QueryPlan,
@@ -571,6 +575,8 @@ def run_stages(
     """Run one query under ``plan``; returns (confirmed endpoints, stats)."""
     plan = plan.resolved()
     excluded = frozenset(exclude_route_ids or ())
+    if plan.method == KNN_RADIUS:
+        return _run_knn_radius(context, query_points, k, plan, excluded, deadline)
     if not plan.decompose:
         executor = QueryExecutor(
             context,
@@ -639,6 +645,58 @@ def _run_decomposed(
         for transition_id, endpoints in sub_confirmed.items():
             confirmed.setdefault(transition_id, set()).update(endpoints)
     return confirmed, aggregate
+
+
+def _run_knn_radius(
+    context: ExecutionContext,
+    query_points: QueryPoints,
+    k: int,
+    plan: QueryPlan,
+    excluded: FrozenSet[int],
+    deadline: Optional[Deadline] = None,
+) -> Tuple[ConfirmedEndpoints, QueryStatistics]:
+    """Single-point query answered from the k-th-route radius table.
+
+    Endpoint ``p`` is confirmed iff fewer than ``k`` routes are strictly
+    closer to ``p`` than ``q``, i.e. iff ``|p − q|² <= r_k²(p)`` — the
+    verify stage's comparison on the same float values, so the answers are
+    the pipeline's and the brute-force oracle's.  Every endpoint is a
+    candidate; the one-off table build is charged to the query that
+    triggers it.
+    """
+    if excluded:
+        raise ValueError("the k-th-route radius strategy cannot exclude routes")
+    if len(query_points) != 1:
+        raise ValueError(
+            "the k-th-route radius strategy answers single-point queries only"
+        )
+    if deadline is not None:
+        deadline.check("radius lookup")
+    qx, qy = float(query_points[0][0]), float(query_points[0][1])
+    started = time.perf_counter()
+    table = context.knn_radii(k, plan.backend)
+    if plan.backend == BACKEND_NUMPY:
+        distances = kernels.points_dist_sq_to_point(table.points, (qx, qy))
+        hits = (distances <= table.radii_sq).nonzero()[0].tolist()
+    else:
+        hits = []
+        for index, ((x, y), radius_sq) in enumerate(
+            zip(table.points, table.radii_sq)
+        ):
+            dx = x - qx
+            dy = y - qy
+            if dx * dx + dy * dy <= radius_sq:
+                hits.append(index)
+    confirmed: ConfirmedEndpoints = {}
+    for index in hits:
+        transition_id, endpoint = table.tags[index]
+        confirmed.setdefault(transition_id, set()).add(endpoint)
+    stats = QueryStatistics(
+        candidates=len(table),
+        confirmed_points=len(hits),
+        verification_seconds=time.perf_counter() - started,
+    )
+    return confirmed, stats
 
 
 def execute(

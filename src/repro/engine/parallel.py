@@ -317,11 +317,10 @@ def resolve_worker_count(workers: Optional[int]) -> int:
 
     ``None`` means "pick for me": one worker per available CPU (respecting
     the process's affinity mask where exposed).  ``0`` is rejected: on
-    every other surface of the library (``query_batch``, the CLI,
-    ``VertexRkNNTIndex.build``) zero means "in-process, no pool", and a
-    pool executor cannot honour that — treating it as "all CPUs" here
-    would silently invert the caller's intent.  Negative values are
-    rejected outright.
+    every other surface of the library (``query_batch``, the CLI) zero
+    means "in-process, no pool", and a pool executor cannot honour that —
+    treating it as "all CPUs" here would silently invert the caller's
+    intent.  Negative values are rejected outright.
     """
     if workers is None:
         return available_cpu_count()

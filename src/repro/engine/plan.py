@@ -29,6 +29,12 @@ VORONOI = "voronoi"
 DIVIDE_CONQUER = "divide-conquer"
 METHODS = (FILTER_REFINE, VORONOI, DIVIDE_CONQUER)
 
+#: Internal single-point strategy of the planning pre-computation: answers
+#: ``RkNNT({q})`` from the context's per-endpoint k-th-route radii instead of
+#: filter → prune → verify.  Not one of the paper's methods, so not in
+#: ``METHODS`` and not selectable through :meth:`QueryPlan.for_method`.
+KNN_RADIUS = "knn-radius"
+
 #: Filter-phase traversal styles (see ``engine/executor.py``):
 #: ``"block"`` expands all children of the best node per kernel call,
 #: ``"node"`` is the node-at-a-time heap loop of the original engine.
@@ -126,8 +132,10 @@ class QueryPlan:
         Let decomposed sub-queries reuse (and populate) the execution
         context's single-point answer cache.  Enabled for batch workloads
         where repeated points are common (divide & conquer over overlapping
-        routes, per-vertex planning pre-computation); disabled for one-shot
-        queries so their reported statistics reflect the work actually done.
+        routes); disabled for one-shot queries so their reported statistics
+        reflect the work actually done.  The planning pre-computation does
+        not use it: its per-stop queries read the context's k-th-route
+        radius table instead (``KNN_RADIUS``).
     filter_traversal:
         RR-tree filter-phase traversal: ``"block"`` (expand whole child
         blocks per kernel call), ``"node"`` (the original node-at-a-time

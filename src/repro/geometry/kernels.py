@@ -641,3 +641,31 @@ def count_closer_routes(
             closer[:, excluded_columns] = False
         counts[start:stop] = closer.sum(axis=1)
     return counts
+
+
+def kth_route_distance_sq(points, route_blocks, k: int, chunk_size: int = 512):
+    """Each point's ``k``-th smallest squared point-to-route distance.
+
+    ``route_blocks`` is a sequence of ``(route_points, route_offsets)``
+    pairs — the route-matrix blocks, every route in exactly one of them.
+    A point with fewer than ``k`` routes gets ``inf``.  Fewer than ``k``
+    routes are strictly closer to the point than a query ``q`` exactly when
+    ``|point - q|² <= result``, the same comparison
+    :func:`count_closer_routes` makes one query at a time.  Work is chunked
+    so the ``(P, N)`` distance matrix never exceeds ``chunk_size`` rows.
+    """
+    assert numpy_available(), "kth_route_distance_sq requires the numpy backend"
+    pts = _np.asarray(points, dtype=_np.float64)
+    radii = _np.full(len(pts), _np.inf)
+    if sum(len(offsets) for _, offsets in route_blocks) < k:
+        return radii
+    for start in range(0, len(pts), chunk_size):
+        stop = min(start + chunk_size, len(pts))
+        distances = _np.hstack(
+            [
+                route_distance_matrix(pts[start:stop], route_points, offsets)
+                for route_points, offsets in route_blocks
+            ]
+        )
+        radii[start:stop] = _np.partition(distances, k - 1, axis=1)[:, k - 1]
+    return radii

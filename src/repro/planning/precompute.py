@@ -5,7 +5,9 @@ through the bus network is the union of the RkNNT sets of its vertices.  The
 :class:`VertexRkNNTIndex` therefore stores, for every vertex ``v``:
 
 * the set of *(transition id, endpoint)* pairs confirmed by ``RkNNT(v)``
-  (from which both the ∃ and ∀ counts of any partial route can be derived);
+  (from which both the ∃ and ∀ counts of any partial route can be derived),
+  answered from the execution context's per-endpoint k-th-route radii
+  rather than by one filter → prune → verify query per vertex;
 * the all-pairs shortest-distance matrix ``M_ψ`` used by the reachability
   pruning.
 
@@ -15,12 +17,12 @@ Pre-computation time is reported per phase (Table 5 of the paper).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.rknnt import RkNNTProcessor
 from repro.engine.executor import run_stages
-from repro.engine.plan import QueryPlan, VORONOI
+from repro.engine.plan import KNN_RADIUS, QueryPlan
 from repro.geometry.kernels import BACKEND_AUTO
 from repro.planning.graph import BusNetwork
 from repro.planning.shortest_path import all_pairs_shortest_distances
@@ -68,21 +70,12 @@ class VertexRkNNTIndex:
         The (fixed) ``k`` used for every per-vertex query.  As the paper
         notes, several indexes with representative ``k`` values can be built
         in advance to serve different requirements.
-    use_voronoi:
-        Filtering variant used for the per-vertex queries.
     """
 
-    def __init__(
-        self,
-        network: BusNetwork,
-        processor: RkNNTProcessor,
-        k: int,
-        use_voronoi: bool = True,
-    ):
+    def __init__(self, network: BusNetwork, processor: RkNNTProcessor, k: int):
         self.network = network
         self.processor = processor
         self.k = k
-        self.use_voronoi = use_voronoi
         self._endpoints_by_vertex: Dict[int, FrozenSet[EndpointTag]] = {}
         self._shortest: Dict[int, Dict[int, float]] = {}
         self.report = PrecomputationReport(k=k)
@@ -94,16 +87,16 @@ class VertexRkNNTIndex:
         self,
         vertices: Optional[Iterable[int]] = None,
         backend: str = BACKEND_AUTO,
-        workers: int = 0,
     ) -> PrecomputationReport:
         """Run the pre-computation (per-vertex RkNNT + all-pairs shortest).
 
-        The per-vertex queries are the bulk-expansion path of the MaxRkNNT
-        pipeline: every vertex is a single-point RkNNT query answered through
-        the processor's shared execution context, so the whole sweep reuses
-        one route matrix, runs on the vectorized geometry kernels (when
-        numpy is available) and memoises its answers — which later divide &
-        conquer queries over the same stop locations hit for free.
+        Every vertex is a single-point RkNNT query, run through
+        :func:`~repro.engine.executor.run_stages` under the internal
+        ``KNN_RADIUS`` plan: the first one builds the execution context's
+        k-th-route radius table (O(endpoints × route points)), each one
+        then confirms the endpoints within their radius (O(endpoints)).
+        The table is version-guarded like the route matrix, so it is reused
+        by lazy lookups until the routes or transitions change.
 
         Parameters
         ----------
@@ -112,25 +105,15 @@ class VertexRkNNTIndex:
             sources to a subset (all vertices by default).
         backend:
             Geometry-kernel backend for the sweep (``"auto"`` by default).
-        workers:
-            ``0`` (default) runs the sweep in-process; ``workers >= 1``
-            shards the per-vertex queries across that many worker processes
-            (:class:`~repro.engine.parallel.ShardedExecutor`).  Per-vertex
-            answers are identical either way; the sharded sweep's memoised
-            sub-queries stay inside the workers, so later lazy lookups
-            recompute in the parent instead of hitting the shared cache.
         """
         vertex_list = (
             list(vertices) if vertices is not None else list(self.network.vertices())
         )
         started = time.perf_counter()
-        if workers:
-            self._build_sharded(vertex_list, backend, workers)
-        else:
-            for vertex in vertex_list:
-                self._endpoints_by_vertex[vertex] = self._query_vertex(
-                    vertex, backend=backend
-                )
+        for vertex in vertex_list:
+            self._endpoints_by_vertex[vertex] = self._query_vertex(
+                vertex, backend=backend
+            )
         self.report.rknnt_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -138,47 +121,6 @@ class VertexRkNNTIndex:
         self.report.shortest_path_seconds = time.perf_counter() - started
         self.report.vertices = len(vertex_list)
         return self.report
-
-    def _build_sharded(
-        self, vertex_list: List[int], backend: str, workers: int
-    ) -> None:
-        """Shard the per-vertex RkNNT sweep across worker processes.
-
-        A live serving pool on the processor (see
-        :meth:`repro.core.rknnt.RkNNTProcessor.serving_pool`) is reused —
-        its workers are already warm and attached to the dataset arena;
-        otherwise a per-call pool is spawned for this build only.
-        """
-        from repro.engine.parallel import ShardedExecutor
-
-        jobs = [
-            ([tuple(self.network.position(vertex))], frozenset())
-            for vertex in vertex_list
-        ]
-        pool = getattr(self.processor, "active_serving_pool", None)
-        if pool is not None:
-            results = pool.run(jobs, self.k, self._bulk_plan(backend))
-        else:
-            with ShardedExecutor(
-                self.processor.engine_context, workers=workers
-            ) as sharded:
-                results = sharded.run(jobs, self.k, self._bulk_plan(backend))
-        for vertex, result in zip(vertex_list, results):
-            self._endpoints_by_vertex[vertex] = frozenset(
-                (transition_id, endpoint)
-                for transition_id, endpoints in result.confirmed_endpoints.items()
-                for endpoint in endpoints
-            )
-
-    def _bulk_plan(self, backend: str) -> QueryPlan:
-        """Single-point plan sharing the processor's sub-query cache."""
-        return QueryPlan(
-            method=VORONOI if self.use_voronoi else "filter-refine",
-            use_voronoi=self.use_voronoi,
-            decompose=True,
-            backend=backend,
-            share_subquery_cache=True,
-        )
 
     def _query_vertex(
         self, vertex: int, backend: str = BACKEND_AUTO
@@ -188,7 +130,9 @@ class VertexRkNNTIndex:
             self.processor.engine_context,
             [position],
             self.k,
-            self._bulk_plan(backend),
+            QueryPlan(
+                method=KNN_RADIUS, use_voronoi=False, decompose=False, backend=backend
+            ),
         )
         tags: Set[EndpointTag] = set()
         for transition_id, endpoints in confirmed.items():

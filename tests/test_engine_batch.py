@@ -6,9 +6,9 @@ The contract under test, per method × semantics:
 
 where ``≡`` is *element-wise identity* of the confirmed endpoint maps (and
 therefore of both the ∃ and ∀ answers).  Additionally: the scalar and numpy
-backends agree, caches survive dynamic updates, the planning bulk-expansion
-path matches per-vertex scalar queries, and divide & conquer statistics sum
-over sub-queries (the aggregation fix).
+backends agree, caches survive dynamic updates, the planning sweep (answered
+from k-th-route radii) matches per-vertex scalar pipeline queries, and divide
+& conquer statistics sum over sub-queries (the aggregation fix).
 """
 
 import pytest

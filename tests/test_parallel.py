@@ -258,8 +258,10 @@ class TestContextPickling:
         mini_processor.query_batch(
             [[(2.0, 2.0), (3.0, 2.5)]], K, method=DIVIDE_CONQUER
         )
+        context.knn_radii(K)
         state = context.__getstate__()
         assert state["_route_matrix"] is None
+        assert state["_knn_radii"] == {}
         assert state["_subqueries"] == {}
         assert state["subquery_hits"] == 0
         assert state["subquery_misses"] == 0
@@ -277,12 +279,17 @@ class TestContextPickling:
         actual, _ = run_stages(clone, query, K, plan)
         assert actual == expected
 
-    def test_pickle_roundtrip_excludes_cache_payload_bytes(self, mini_processor):
+    def test_pickle_roundtrip_excludes_cache_payload_bytes(
+        self, mini_city, mini_processor
+    ):
         context = mini_processor.engine_context
         context.clear_caches()
         cold = len(pickle.dumps(context))
-        # Warm the sub-query cache heavily; the pickled size must not grow
-        # with it (the caches are derived state, rebuilt per worker).
+        # Fill the k-th-route radius table and warm the sub-query cache
+        # heavily; the pickled size must not grow with them (the caches are
+        # derived state, rebuilt per worker).
+        VertexRkNNTIndex(mini_city.network, mini_processor, k=K).build()
+        assert context._knn_radii
         mini_processor.query_batch(
             [[(float(i), float(i % 5))] for i in range(25)],
             K,
@@ -290,19 +297,6 @@ class TestContextPickling:
         )
         warm = len(pickle.dumps(context))
         assert warm == cold
-
-
-class TestPlanningShardedBuild:
-    def test_sharded_build_matches_serial(self, mini_city, mini_processor):
-        serial = VertexRkNNTIndex(mini_city.network, mini_processor, k=K)
-        serial.build(workers=0)
-        sharded = VertexRkNNTIndex(mini_city.network, mini_processor, k=K)
-        sharded.build(workers=WORKERS)
-        for vertex in mini_city.network.vertices():
-            assert sharded.vertex_endpoints(vertex) == serial.vertex_endpoints(
-                vertex
-            ), vertex
-        assert sharded.report.vertices == serial.report.vertices
 
 
 class TestBatchHandle:

@@ -26,7 +26,6 @@ from repro.engine.plan import QueryPlan
 from repro.geometry.kernels import numpy_available
 from repro.model.route import Route
 from repro.model.transition import Transition
-from repro.planning.precompute import VertexRkNNTIndex
 
 K = 3
 QUERY_COUNT = 4
@@ -326,20 +325,6 @@ class TestSpawnStartMethod:
 
 
 class TestServingIntegration:
-    def test_planning_bulk_build_reuses_live_pool(self, mini_city, mini_processor):
-        serial = VertexRkNNTIndex(mini_city.network, mini_processor, k=K)
-        serial.build(workers=0)
-        pooled = VertexRkNNTIndex(mini_city.network, mini_processor, k=K)
-        with mini_processor.serving_pool(workers=WORKERS) as pool:
-            mini_processor.query_batch([[(2.0, 2.0)]], K, workers=WORKERS)
-            spawned = pool.pools_spawned
-            pooled.build(workers=WORKERS)
-            assert pool.pools_spawned == spawned  # reused, not respawned
-        for vertex in mini_city.network.vertices():
-            assert pooled.vertex_endpoints(vertex) == serial.vertex_endpoints(
-                vertex
-            ), vertex
-
     def test_refresh_subscriptions_via_pool(self, mini_city, mini_transitions):
         baseline = set(arena.active_segment_names())
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
