@@ -9,9 +9,11 @@ Answering one RkNNT query needs nothing beyond the two indexes; answering a
   verification kernel (:func:`repro.geometry.kernels.count_closer_routes`)
   reduces over.  Building it is O(total route points); sharing it across a
   batch amortises that to nothing.  The matrix is *chunked by route blocks*
-  (``RKNNT_MATRIX_BLOCK_ROWS`` bounds the point rows per block) so that the
-  per-candidate distance matrix materialised during verification never
-  exceeds ``chunk × block`` elements even at the paper's NYC scale.
+  (``RKNNT_MATRIX_BLOCK_ROWS`` bounds the point rows per block).  What
+  bounds verification memory is the kernel, not the blocks: it reduces the
+  candidates in row chunks of at most
+  :data:`repro.geometry.kernels.ROUTE_CHUNK_ELEMENTS` distances, in two
+  buffers allocated once per call.
 * the **single-point answer cache** — confirmed endpoint maps of single-point
   sub-queries, keyed by ``(point, k, excluded, voronoi)``.  Divide & conquer
   decomposes every query into per-point sub-queries (Lemma 3) and real

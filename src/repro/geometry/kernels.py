@@ -584,46 +584,69 @@ def boxes_margin_slack(boxes, filter_points, query):
 # ----------------------------------------------------------------------
 # Point–polyline (point-to-route) distances for verification
 # ----------------------------------------------------------------------
-def route_distance_matrix(points, route_points, route_offsets):
-    """``(P, R)`` squared point-to-route distances.
+#: Element budget of one chunk of the point × route-point distance matrix.
+#: Rows per chunk are this budget divided by the widest block's route-point
+#: count (at least one row), so the verification and radius kernels hold two
+#: float64 buffers of about 512 KiB each, whatever the number of points.
+ROUTE_CHUNK_ELEMENTS = 1 << 16
 
-    ``route_points`` is the concatenation of every route's points (grouped by
-    route) and ``route_offsets`` the start index of each route's group —
-    together they describe the flattened polyline soup built once per dataset
-    by the execution context.  Entry ``[i, j]`` is the squared distance from
-    point ``i`` to route ``j`` (the paper's Definition 3, minimum over the
-    route's points).
 
-    Only available on the numpy backend; the Python fallback engine verifies
-    through the RR-tree instead (see ``engine/executor.py``).
+def _route_distance_chunks(points, route_blocks):
+    """Yield ``(start, stop, distances)`` over row chunks of ``points``.
+
+    ``route_blocks`` is a sequence of ``(route_points, route_offsets)``
+    pairs: each block's points grouped by route and the start index of each
+    route's group.  ``distances[i, j]`` is the squared distance from point
+    ``start + i`` to route ``j`` (the paper's Definition 3, minimum over the
+    route's points), columns in block order.  Each block is split into x and
+    y columns once, and every chunk's ``dx*dx + dy*dy`` is evaluated in
+    place in two reused buffers of at most ``ROUTE_CHUNK_ELEMENTS``
+    elements, so memory stays bounded however many points are reduced.
     """
-    assert numpy_available(), "route_distance_matrix requires the numpy backend"
-    pts = _np.asarray(points, dtype=_np.float64)
-    rpts = _np.asarray(route_points, dtype=_np.float64)
-    offsets = _np.asarray(route_offsets, dtype=_np.intp)
-    if len(pts) == 0 or len(offsets) == 0:
-        return _np.zeros((len(pts), len(offsets)))
-    dx = pts[:, 0][:, None] - rpts[:, 0][None, :]
-    dy = pts[:, 1][:, None] - rpts[:, 1][None, :]
-    d2 = dx * dx + dy * dy
-    return _np.minimum.reduceat(d2, offsets, axis=1)
+    blocks = []
+    for route_points, route_offsets in route_blocks:
+        if len(route_offsets) == 0:
+            continue
+        rpts = _np.asarray(route_points, dtype=_np.float64)
+        blocks.append(
+            (
+                _np.ascontiguousarray(rpts[:, 0]),
+                _np.ascontiguousarray(rpts[:, 1]),
+                _np.asarray(route_offsets, dtype=_np.intp),
+            )
+        )
+    width = max(len(xs) for xs, _, _ in blocks)
+    rows = max(1, min(len(points), ROUTE_CHUNK_ELEMENTS // width))
+    dx_buffer = _np.empty(rows * width)
+    dy_buffer = _np.empty(rows * width)
+    px = points[:, 0:1]
+    py = points[:, 1:2]
+    for start in range(0, len(points), rows):
+        stop = min(start + rows, len(points))
+        reduced = []
+        for xs, ys, offsets in blocks:
+            shape = (stop - start, len(xs))
+            dx = dx_buffer[: shape[0] * shape[1]].reshape(shape)
+            dy = dy_buffer[: shape[0] * shape[1]].reshape(shape)
+            _np.subtract(px[start:stop], xs, out=dx)
+            _np.subtract(py[start:stop], ys, out=dy)
+            _np.multiply(dx, dx, out=dx)
+            _np.multiply(dy, dy, out=dy)
+            _np.add(dx, dy, out=dx)
+            reduced.append(_np.minimum.reduceat(dx, offsets, axis=1))
+        yield start, stop, reduced[0] if len(reduced) == 1 else _np.hstack(reduced)
 
 
 def count_closer_routes(
-    points,
-    thresholds_sq,
-    route_points,
-    route_offsets,
-    excluded_columns=None,
-    chunk_size: int = 512,
+    points, thresholds_sq, route_points, route_offsets, excluded_columns=None
 ):
     """Distinct routes strictly closer than each point's threshold.
 
     The vectorized verification primitive: for each candidate point ``i``,
     count the routes whose squared point-to-route distance is strictly below
     ``thresholds_sq[i]``.  ``excluded_columns`` masks routes that must not
-    count (e.g. the query route itself).  Work is chunked so the ``(P, N)``
-    distance matrix never exceeds ``chunk_size`` rows at a time.
+    count (e.g. the query route itself).  Memory is bounded by
+    ``ROUTE_CHUNK_ELEMENTS``, not by the number of points.
     """
     assert numpy_available(), "count_closer_routes requires the numpy backend"
     pts = _np.asarray(points, dtype=_np.float64)
@@ -631,19 +654,18 @@ def count_closer_routes(
     counts = _np.zeros(len(pts), dtype=_np.intp)
     if len(pts) == 0 or len(route_offsets) == 0:
         return counts
-    for start in range(0, len(pts), chunk_size):
-        stop = min(start + chunk_size, len(pts))
-        block = route_distance_matrix(
-            pts[start:stop], route_points, route_offsets
-        )
-        closer = block < thr[start:stop][:, None]
-        if excluded_columns is not None and len(excluded_columns):
+    masked = excluded_columns is not None and len(excluded_columns) > 0
+    for start, stop, distances in _route_distance_chunks(
+        pts, [(route_points, route_offsets)]
+    ):
+        closer = distances < thr[start:stop, None]
+        if masked:
             closer[:, excluded_columns] = False
         counts[start:stop] = closer.sum(axis=1)
     return counts
 
 
-def kth_route_distance_sq(points, route_blocks, k: int, chunk_size: int = 512):
+def kth_route_distance_sq(points, route_blocks, k: int):
     """Each point's ``k``-th smallest squared point-to-route distance.
 
     ``route_blocks`` is a sequence of ``(route_points, route_offsets)``
@@ -651,21 +673,14 @@ def kth_route_distance_sq(points, route_blocks, k: int, chunk_size: int = 512):
     A point with fewer than ``k`` routes gets ``inf``.  Fewer than ``k``
     routes are strictly closer to the point than a query ``q`` exactly when
     ``|point - q|² <= result``, the same comparison
-    :func:`count_closer_routes` makes one query at a time.  Work is chunked
-    so the ``(P, N)`` distance matrix never exceeds ``chunk_size`` rows.
+    :func:`count_closer_routes` makes one query at a time.  Memory is
+    bounded by ``ROUTE_CHUNK_ELEMENTS``, not by the number of points.
     """
     assert numpy_available(), "kth_route_distance_sq requires the numpy backend"
     pts = _np.asarray(points, dtype=_np.float64)
     radii = _np.full(len(pts), _np.inf)
-    if sum(len(offsets) for _, offsets in route_blocks) < k:
+    if len(pts) == 0 or sum(len(offsets) for _, offsets in route_blocks) < k:
         return radii
-    for start in range(0, len(pts), chunk_size):
-        stop = min(start + chunk_size, len(pts))
-        distances = _np.hstack(
-            [
-                route_distance_matrix(pts[start:stop], route_points, offsets)
-                for route_points, offsets in route_blocks
-            ]
-        )
+    for start, stop, distances in _route_distance_chunks(pts, route_blocks):
         radii[start:stop] = _np.partition(distances, k - 1, axis=1)[:, k - 1]
     return radii

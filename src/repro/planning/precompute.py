@@ -9,7 +9,7 @@ through the bus network is the union of the RkNNT sets of its vertices.  The
   answered from the execution context's per-endpoint k-th-route radii
   rather than by one filter → prune → verify query per vertex;
 * the all-pairs shortest-distance matrix ``M_ψ`` used by the reachability
-  pruning.
+  pruning, one compact ``array('d')`` row per source.
 
 Pre-computation time is reported per phase (Table 5 of the paper).
 """
@@ -17,15 +17,16 @@ Pre-computation time is reported per phase (Table 5 of the paper).
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.rknnt import RkNNTProcessor
 from repro.engine.executor import run_stages
 from repro.engine.plan import KNN_RADIUS, QueryPlan
 from repro.geometry.kernels import BACKEND_AUTO
 from repro.planning.graph import BusNetwork
-from repro.planning.shortest_path import all_pairs_shortest_distances
+from repro.planning.shortest_path import shortest_distance_rows
 
 EndpointTag = Tuple[int, str]
 
@@ -77,7 +78,8 @@ class VertexRkNNTIndex:
         self.processor = processor
         self.k = k
         self._endpoints_by_vertex: Dict[int, FrozenSet[EndpointTag]] = {}
-        self._shortest: Dict[int, Dict[int, float]] = {}
+        self._column_of: Dict[int, int] = {}
+        self._shortest_rows: List[array] = []
         self.report = PrecomputationReport(k=k)
 
     # ------------------------------------------------------------------
@@ -101,8 +103,8 @@ class VertexRkNNTIndex:
         Parameters
         ----------
         vertices:
-            Restrict the per-vertex RkNNT queries and the shortest-distance
-            sources to a subset (all vertices by default).
+            Restrict the per-vertex RkNNT queries to a subset (all vertices
+            by default); ``M_ψ`` always covers the whole network.
         backend:
             Geometry-kernel backend for the sweep (``"auto"`` by default).
         """
@@ -117,7 +119,7 @@ class VertexRkNNTIndex:
         self.report.rknnt_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        self._shortest = all_pairs_shortest_distances(self.network)
+        self._column_of, self._shortest_rows = shortest_distance_rows(self.network)
         self.report.shortest_path_seconds = time.perf_counter() - started
         self.report.vertices = len(vertex_list)
         return self.report
@@ -164,10 +166,11 @@ class VertexRkNNTIndex:
 
     def shortest_distance(self, source: int, target: int) -> float:
         """``M_ψ[source][target]``; ``inf`` when unreachable."""
-        row = self._shortest.get(source)
-        if row is None:
+        row = self._column_of.get(source)
+        column = self._column_of.get(target)
+        if row is None or column is None:
             return float("inf")
-        return row.get(target, float("inf"))
+        return self._shortest_rows[row][column]
 
     # ------------------------------------------------------------------
     # Aggregation helpers (∃ / ∀ counts of a set of endpoint tags)

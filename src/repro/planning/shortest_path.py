@@ -4,9 +4,10 @@ MaxRkNNT needs three ingredients from classical graph search:
 
 * single-source Dijkstra (:func:`dijkstra`) — reachability bounds and the
   seed path of Yen's algorithm;
-* all-pairs shortest distances (:func:`all_pairs_shortest_distances`) — the
-  matrix ``M_ψ`` of Algorithm 5 used by the ``checkReachability`` pruning;
-  a textbook Floyd–Warshall (:func:`floyd_warshall`) is provided as the
+* all-pairs shortest distances (:func:`shortest_distance_rows`, with
+  :func:`all_pairs_shortest_distances` as its dict view) — the matrix
+  ``M_ψ`` of Algorithm 5 used by the ``checkReachability`` pruning; a
+  textbook Floyd–Warshall (:func:`floyd_warshall`) is provided as the
   paper's reference algorithm, with repeated Dijkstra as the default because
   bus networks are sparse;
 * loopless path enumeration — Yen's k shortest paths
@@ -20,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.planning.graph import BusNetwork
@@ -104,26 +106,84 @@ def shortest_path(
     return distances[target], tuple(path)
 
 
-def all_pairs_shortest_distances(
+def shortest_distance_rows(
     network: BusNetwork, sources: Optional[Sequence[int]] = None
-) -> Dict[int, Dict[int, float]]:
-    """All-pairs shortest distances ``M_ψ`` (Algorithm 5).
+) -> Tuple[Dict[int, int], List[array]]:
+    """All-pairs shortest distances ``M_ψ`` (Algorithm 5) as compact rows.
 
-    Runs one Dijkstra per source, which is the right complexity class for
-    sparse bus networks; :func:`floyd_warshall` is provided separately as the
-    paper's reference algorithm for small graphs.
+    Returns ``(column_of, rows)``: ``column_of`` maps every vertex to its
+    column, and ``rows[i]`` is an ``array('d')`` of the shortest distances
+    from ``sources[i]`` to every vertex (``inf`` when unreachable).  Runs
+    one Dijkstra per source over an index-based adjacency list, which is
+    the right complexity class for sparse bus networks.  It adds the same
+    ``distance + weight`` floats in a valid Dijkstra order, so every entry
+    equals :func:`dijkstra`'s exactly.
 
     Parameters
     ----------
     sources:
         Restrict the computation to these source vertices (all by default).
     """
-    matrix: Dict[int, Dict[int, float]] = {}
+    vertices = list(network.vertices())
+    column_of = {vertex: column for column, vertex in enumerate(vertices)}
+    adjacency = [
+        [
+            (column_of[neighbor], network.edge_weight(vertex, neighbor))
+            for neighbor in network.neighbors(vertex)
+        ]
+        for vertex in vertices
+    ]
+    unreached = array("d", [math.inf]) * len(vertices)
+    rows: List[array] = []
+    for source in vertices if sources is None else sources:
+        if source not in column_of:
+            raise KeyError(f"source vertex {source} not in network")
+        distances = array("d", unreached)
+        settled = bytearray(len(vertices))
+        start = column_of[source]
+        distances[start] = 0.0
+        heap = [(0.0, start)]
+        while heap:
+            dist, column = heapq.heappop(heap)
+            if settled[column]:
+                continue
+            settled[column] = 1
+            for neighbor, weight in adjacency[column]:
+                if settled[neighbor]:
+                    continue
+                candidate = dist + weight
+                if candidate < distances[neighbor]:
+                    distances[neighbor] = candidate
+                    heapq.heappush(heap, (candidate, neighbor))
+        rows.append(distances)
+    return column_of, rows
+
+
+def all_pairs_shortest_distances(
+    network: BusNetwork, sources: Optional[Sequence[int]] = None
+) -> Dict[int, Dict[int, float]]:
+    """All-pairs shortest distances ``M_ψ`` as ``{source: {vertex: d}}``.
+
+    The dict view of :func:`shortest_distance_rows`: like :func:`dijkstra`,
+    each row lists only the vertices reachable from its source.
+    :func:`floyd_warshall` is provided separately as the paper's reference
+    algorithm for small graphs.
+
+    Parameters
+    ----------
+    sources:
+        Restrict the computation to these source vertices (all by default).
+    """
     vertices = list(sources) if sources is not None else list(network.vertices())
-    for source in vertices:
-        distances, _ = dijkstra(network, source)
-        matrix[source] = distances
-    return matrix
+    column_of, rows = shortest_distance_rows(network, vertices)
+    return {
+        source: {
+            vertex: row[column]
+            for vertex, column in column_of.items()
+            if row[column] != math.inf
+        }
+        for source, row in zip(vertices, rows)
+    }
 
 
 def floyd_warshall(network: BusNetwork) -> Dict[int, Dict[int, float]]:

@@ -7,6 +7,10 @@ Two families of fixtures exist:
 * a small generated city (``mini_city`` and friends, session-scoped because
   index construction is the expensive part) used for cross-checking the
   optimised algorithms against the brute-force oracle on less trivial data.
+
+Property tests run under a derandomized Hypothesis profile with no example
+database, so a run's outcome depends only on the code, not on the day or on
+examples a stale ``.hypothesis/`` directory replays.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.rknnt import RkNNTProcessor
 from repro.data.workloads import QueryWorkload, make_city
@@ -23,6 +28,8 @@ from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
 
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # ----------------------------------------------------------------------
 # Hand-built toy datasets

@@ -10,8 +10,10 @@ predicates, so these tests still pass (they then mostly assert the fallback
 plumbing); the numpy-only verification kernel test is skipped.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.knn import query_distance_sq
@@ -22,6 +24,7 @@ from repro.geometry.halfspace import (
     filtering_space_contains_bbox,
     filtering_space_contains_point,
 )
+from repro.geometry.point import squared_euclidean
 from repro.geometry.voronoi import voronoi_prunes_bbox
 
 coord = st.floats(
@@ -140,14 +143,16 @@ def test_count_closer_routes_matches_bruteforce(pts, routes, query, k_excluded):
     excluded_columns = list(range(min(k_excluded, len(routes))))
 
     thresholds = [query_distance_sq(p, query) for p in pts]
-    counts = kernels.count_closer_routes(
-        kernels.pack_points(pts),
-        thresholds,
-        kernels.pack_points(flat),
-        offsets,
-        excluded_columns=excluded_columns,
-        chunk_size=2,  # exercise the chunked path
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # A tiny budget exercises the chunked path (1–2 rows per chunk).
+        patch.setattr(kernels, "ROUTE_CHUNK_ELEMENTS", 2)
+        counts = kernels.count_closer_routes(
+            kernels.pack_points(pts),
+            thresholds,
+            kernels.pack_points(flat),
+            offsets,
+            excluded_columns=excluded_columns,
+        )
     for p, threshold, got in zip(pts, thresholds, counts):
         expected = 0
         for column, route in enumerate(routes):
@@ -157,6 +162,143 @@ def test_count_closer_routes_matches_bruteforce(pts, routes, query, k_excluded):
             if route_d < threshold:
                 expected += 1
         assert int(got) == expected
+
+
+# Coordinates that stress the float contract of the point-to-route kernel:
+# duplicates (ties), subnormals, an offset whose square underflows to zero
+# (so two distinct points tie) and magnitudes whose squares are near the top
+# of the float64 range.
+extreme_coord = st.one_of(
+    coord,
+    st.sampled_from(
+        [0.0, 1.0, -1.0, 5e-324, -5e-324, 1.5112441903382607e-232, 1e150, -1e150]
+    ),
+)
+extreme_point = st.tuples(extreme_coord, extreme_coord)
+kernel_route = st.lists(extreme_point, min_size=1, max_size=6)
+# A route-matrix block is a list of routes; every route lives in one block.
+kernel_blocks = st.lists(
+    st.lists(kernel_route, min_size=1, max_size=4), min_size=1, max_size=3
+)
+
+
+def flatten_block(routes):
+    """``(route_points, route_offsets)`` of one block of routes."""
+    flat, offsets = [], []
+    for route in routes:
+        offsets.append(len(flat))
+        flat.extend(route)
+    return kernels.pack_points(flat), offsets
+
+
+def route_distance_sq(p, route):
+    """Scalar reference: squared point-to-route distance (Definition 3)."""
+    return min(squared_euclidean(p, r) for r in route)
+
+
+@pytest.mark.skipif(
+    not kernels.numpy_available(), reason="verification kernel is numpy-only"
+)
+@settings(max_examples=80, deadline=None)
+@given(
+    pts=st.lists(extreme_point, min_size=0, max_size=9),
+    blocks=kernel_blocks,
+    query=st.lists(extreme_point, min_size=1, max_size=3),
+    k=st.integers(min_value=1, max_value=8),
+    budget=st.sampled_from([1, 2, 3, 5, 8, 64, kernels.ROUTE_CHUNK_ELEMENTS]),
+)
+# 7 points in 3-row chunks: a point count that is not a multiple of the chunk.
+@example(
+    pts=[(float(i), 0.0) for i in range(7)],
+    blocks=[[[(0.0, 0.0)], [(1.0, 1.0)]]],
+    query=[(0.5, 0.5)],
+    k=1,
+    budget=6,
+)
+# One route wider than the budget: 1-row chunks.
+@example(
+    pts=[(0.0, 0.0), (3.0, 3.0), (3.0, 3.0)],
+    blocks=[[[(float(i), 1.0) for i in range(5)]]],
+    query=[(2.0, 2.0)],
+    k=1,
+    budget=2,
+)
+# No points.
+@example(pts=[], blocks=[[[(0.0, 0.0)]]], query=[(0.0, 0.0)], k=1, budget=4)
+# Fewer than k routes.
+@example(
+    pts=[(1.0, 1.0)],
+    blocks=[[[(0.0, 0.0)], [(2.0, 2.0)]]],
+    query=[(1.0, 1.0)],
+    k=3,
+    budget=4,
+)
+# Multi-block matrix with blocks of different widths and an exact tie.
+@example(
+    pts=[(0.0, 0.0), (1e150, -1e150), (5e-324, 0.0)],
+    blocks=[
+        [[(1.0, 0.0), (2.0, 0.0)], [(0.0, 1.0)]],
+        [[(-1.0, 0.0)]],
+        [[(1e150, 1e150), (0.0, 0.0), (0.0, 0.0)]],
+    ],
+    query=[(0.0, 0.0)],
+    k=2,
+    budget=3,
+)
+def test_route_kernels_match_scalar_reference(pts, blocks, query, k, budget):
+    """Both point-to-route kernels equal the scalar reference under ``==``,
+    whatever the chunk budget and block layout."""
+    packed = [flatten_block(routes) for routes in blocks]
+    points = kernels.pack_points(pts)
+    thresholds = [query_distance_sq(p, query) for p in pts]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "ROUTE_CHUNK_ELEMENTS", budget)
+        counts = [0] * len(pts)
+        for (route_points, offsets), routes in zip(packed, blocks):
+            excluded = [0] if len(routes) > 1 else None
+            block_counts = kernels.count_closer_routes(
+                points, thresholds, route_points, offsets, excluded_columns=excluded
+            )
+            counts = [a + int(b) for a, b in zip(counts, block_counts)]
+        radii = kernels.kth_route_distance_sq(points, packed, k)
+
+    expected_counts, expected_radii = [], []
+    for p, threshold in zip(pts, thresholds):
+        closer, distances = 0, []
+        for routes in blocks:
+            for column, route in enumerate(routes):
+                d = route_distance_sq(p, route)
+                distances.append(d)
+                if d < threshold and not (column == 0 and len(routes) > 1):
+                    closer += 1
+        expected_counts.append(closer)
+        distances.sort()
+        expected_radii.append(distances[k - 1] if len(distances) >= k else math.inf)
+    assert counts == expected_counts
+    assert [float(r) for r in radii] == expected_radii
+
+
+@pytest.mark.skipif(
+    not kernels.numpy_available(), reason="verification kernel is numpy-only"
+)
+@pytest.mark.parametrize(
+    "point_count, widths, budget, expected",
+    [
+        (7, [2], 6, [(0, 3), (3, 6), (6, 7)]),  # rows = budget // width
+        (3, [5], 2, [(0, 1), (1, 2), (2, 3)]),  # wider than the budget
+        (3, [2, 4], 8, [(0, 2), (2, 3)]),  # rows from the widest block
+        (4, [1], 1 << 16, [(0, 4)]),  # never more rows than points
+    ],
+)
+def test_route_chunks_stay_within_budget(point_count, widths, budget, expected):
+    points = kernels.pack_points([(float(i), 0.0) for i in range(point_count)])
+    blocks = [flatten_block([[(0.0, 0.0)] * width]) for width in widths]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "ROUTE_CHUNK_ELEMENTS", budget)
+        chunks = list(kernels._route_distance_chunks(points, blocks))
+    assert [(start, stop) for start, stop, _ in chunks] == expected
+    for start, stop, distances in chunks:
+        assert distances.shape == (stop - start, len(widths))
 
 
 def test_resolve_backend():

@@ -14,6 +14,7 @@ from repro.model.route import Route
 from repro.model.transition import Transition
 from repro.planning.graph import BusNetwork
 from repro.planning.precompute import VertexRkNNTIndex
+from repro.planning.shortest_path import dijkstra
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -110,6 +111,16 @@ class TestShortestMatrix:
         u = network.vertex_at((0.0, 0.0))
         w = network.vertex_at((0.0, 8.0))  # route 2 is disconnected from route 0
         assert math.isinf(index.shortest_distance(u, w))
+
+    def test_matrix_equals_dijkstra_exactly(self, toy_setup):
+        network, processor = toy_setup
+        index = VertexRkNNTIndex(network, processor, k=1)
+        index.build(vertices=[])
+        for source in network.vertices():
+            distances, _ = dijkstra(network, source)
+            for target in network.vertices():
+                expected = distances.get(target, math.inf)
+                assert index.shortest_distance(source, target) == expected
 
     def test_unknown_source_is_infinite(self, toy_setup):
         network, processor = toy_setup

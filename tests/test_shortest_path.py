@@ -13,6 +13,7 @@ from repro.planning.shortest_path import (
     dijkstra,
     enumerate_paths_within_distance,
     floyd_warshall,
+    shortest_distance_rows,
     shortest_path,
     yen_k_shortest_paths,
 )
@@ -140,6 +141,59 @@ class TestAllPairs:
         for u in grid_network.vertices():
             for v in grid_network.vertices():
                 assert matrix[u][v] == pytest.approx(matrix[v][u])
+
+
+@st.composite
+def sparse_networks(draw):
+    """Random networks with shuffled, non-contiguous vertex ids, possibly
+    disconnected, with tied (including zero) and irrational edge weights."""
+    count = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.permutations([3 * i + 7 for i in range(count)]))
+    network = BusNetwork()
+    for vertex in ids:
+        network.add_vertex(
+            vertex,
+            (draw(st.integers(0, 9)) * 1.1, draw(st.integers(0, 9)) * 0.7),
+        )
+    weight = st.one_of(
+        st.none(),  # Euclidean distance
+        st.sampled_from([0.0, 1.0, 0.1, 0.2, 0.30000000000000004]),
+    )
+    if count > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        for u, v in draw(st.lists(pairs, max_size=3 * count)):
+            if u != v:
+                network.add_edge(u, v, draw(weight))
+    return network, ids
+
+
+class TestShortestDistanceRows:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sparse_networks(), data=st.data())
+    def test_every_entry_equals_dijkstra_exactly(self, case, data):
+        network, ids = case
+        sources = data.draw(
+            st.one_of(st.none(), st.lists(st.sampled_from(ids), max_size=len(ids)))
+        )
+        column_of, rows = shortest_distance_rows(network, sources)
+        expected_sources = ids if sources is None else sources
+        assert sorted(column_of) == sorted(ids)
+        assert len(rows) == len(expected_sources)
+        for source, row in zip(expected_sources, rows):
+            distances, _ = dijkstra(network, source)
+            for vertex in ids:
+                assert row[column_of[vertex]] == distances.get(vertex, math.inf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=sparse_networks())
+    def test_dict_view_equals_dijkstra_exactly(self, case):
+        network, ids = case
+        expected = {source: dijkstra(network, source)[0] for source in ids}
+        assert all_pairs_shortest_distances(network) == expected
+
+    def test_unknown_source_raises(self, grid_network):
+        with pytest.raises(KeyError):
+            shortest_distance_rows(grid_network, [0, 999])
 
 
 class TestYen:
