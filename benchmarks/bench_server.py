@@ -27,8 +27,7 @@ Acceptance bars:
 * with ≥ 2 usable CPUs, ``CLIENT_COUNT`` concurrent clients sustain
   ≥ ``COALESCE_SPEEDUP_BAR``× the aggregate QPS of the single-client
   loop;
-* the concurrent phase must actually coalesce (max batch > 1);
-* zero shared-memory segments remain after teardown.
+* the concurrent phase must actually coalesce (max batch > 1).
 
 Results are written as a text table, as JSON rows under
 ``benchmarks/results/``, and appended to the repo-root ``BENCH_batch.json``
@@ -46,7 +45,7 @@ import time
 from repro.bench.reporting import append_trajectory, format_table, git_commit
 from repro.cli import LineClient
 from repro.core.rknnt import VORONOI
-from repro.engine import arena, protocol
+from repro.engine import protocol
 from repro.engine.parallel import available_cpu_count
 from repro.engine.server import ServerThread
 from repro.geometry.kernels import numpy_available
@@ -270,10 +269,6 @@ def test_server_coalescing(benchmark, la_bundle, bench_scale, write_result):
     # Acceptance bar: the concurrent phase actually coalesced.
     assert stats["max_batch_coalesced"] > 1, (
         "concurrent clients never shared an admission window"
-    )
-    # Acceptance bar: no shared-memory segment survives the server.
-    assert arena.active_segment_names() == [], (
-        f"leaked shared-memory segments: {arena.active_segment_names()}"
     )
     if cpus >= 2:
         # Acceptance bar: coalesced concurrent serving must beat the

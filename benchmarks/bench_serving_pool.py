@@ -1,29 +1,25 @@
-"""Persistent serving pool vs per-call pool spawn (+ arena attach scaling).
+"""Persistent serving pool vs per-call pool spawn (+ dispatch scaling).
 
 Not a figure of the paper: this benchmark quantifies the serving-layer win
 of PR 4.  The same sharded workload is answered two ways —
 
 * **per-call**: every ``query_batch(workers=N)`` spawns a fresh worker
-  pool, pays context pickling/unpickling (and arena publishing) inside the
-  timed region, answers, and tears the pool down — the PR-2 behaviour;
+  pool, pays context pickling/unpickling inside the timed region, answers, and tears the pool down — the PR-2 behaviour;
 * **persistent**: one :meth:`~repro.core.rknnt.RkNNTProcessor.serving_pool`
   is seeded once, and every subsequent dispatch reuses its warm workers
-  and shared-memory dataset arena
 
 — and the speedup is reported.  Answers are checked element-wise identical
 (per-call ≡ persistent ≡ serial) before any timing is trusted.
 
-The arena claim is measured at **two dataset scales** (the benchmark city
-at 1× and ``LARGE_SCALE_FACTOR``×): pool *seeding* grows with the dataset
-(pickle + spawn), while a *warm* dispatch of a fixed minimal query stays
-flat — the attach cost of a seeded worker does not scale with dataset
-size.
+Dispatch scaling is measured at **two dataset scales** (the benchmark
+city at 1× and ``LARGE_SCALE_FACTOR``×): pool *seeding* grows with the
+dataset (pickle + spawn), while a *warm* dispatch of a fixed minimal query
+stays flat — a seeded worker's per-dispatch cost does not scale with
+dataset size.
 
-The benchmark also measures the **reseed payload**: the byte size of the
-pickled execution context every pool (re)seed ships per worker, with the
-columnar dataset core on (the default) and off (``RKNNT_COLUMNAR=0``, the
-legacy object-graph pickles).  Both numbers join the trajectory artifact so
-payload regressions show up per PR.
+The benchmark also records the **reseed payload**: the byte size of the
+columnar context pickle every pool (re)seed ships per worker.  It joins
+the trajectory artifact so payload regressions show up per PR.
 
 Acceptance bars (asserted when the machine can meaningfully show them):
 
@@ -31,9 +27,7 @@ Acceptance bars (asserted when the machine can meaningfully show them):
   ≥ 1.5× on the smoke workload;
 * warm dispatch latency at the large scale stays within
   ``DISPATCH_SCALE_TOLERANCE`` of the small scale (dataset-size
-  independence, with generous headroom for shared-runner noise);
-* the columnar reseed payload is ≥ 2× smaller than the object-graph one;
-* zero shared-memory segments remain after teardown.
+  independence, with generous headroom for shared-runner noise).
 
 Results are written as a text table, as JSON rows under
 ``benchmarks/results/``, and appended to the repo-root ``BENCH_batch.json``
@@ -52,33 +46,8 @@ from repro.bench.harness import build_benchmark_city
 from repro.bench.parameters import DEFAULT_QUERY_LENGTH
 from repro.bench.reporting import append_trajectory, format_table, git_commit
 from repro.core.rknnt import VORONOI
-from repro.engine import arena
-from repro.engine.columnar import COLUMNAR_ENV
 from repro.engine.parallel import available_cpu_count
 from repro.geometry.kernels import numpy_available
-
-#: Required shrink of the pickled-context reseed payload: columnar columns
-#: versus the legacy object-graph pickle (``RKNNT_COLUMNAR=0``).
-PAYLOAD_SHRINK_BAR = 2.0
-
-
-def _measure_reseed_payload(context):
-    """Pickled-context bytes with the columnar core on and off."""
-    columnar_bytes = context.reseed_payload_nbytes()
-    previous = os.environ.get(COLUMNAR_ENV)
-    os.environ[COLUMNAR_ENV] = "0"
-    try:
-        object_bytes = context.reseed_payload_nbytes()
-    finally:
-        if previous is None:
-            os.environ.pop(COLUMNAR_ENV, None)
-        else:
-            os.environ[COLUMNAR_ENV] = previous
-    return {
-        "columnar_bytes": columnar_bytes,
-        "object_bytes": object_bytes,
-        "shrink": object_bytes / columnar_bytes if columnar_bytes else math.inf,
-    }
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 TRAJECTORY_PATH = os.path.join(
@@ -90,7 +59,7 @@ SERVE_K = 5
 SERVE_WORKERS = 2
 REPEATS = 3
 
-#: The second dataset scale of the arena-attach measurement.
+#: The second dataset scale of the dispatch-scaling measurement.
 LARGE_SCALE_FACTOR = 3.0
 
 #: Warm dispatch at the large scale may cost at most this multiple of the
@@ -125,7 +94,7 @@ def _measure_scale(bundle, bench_scale):
     city, _, processor, workload = bundle
     probe = _probe_query(workload, bench_scale)
     route_points = sum(len(route) for route in city.routes)
-    with processor.serving_pool(workers=SERVE_WORKERS) as pool:
+    with processor.serving_pool(workers=SERVE_WORKERS):
         started = time.perf_counter()
         processor.query_batch([probe], PROBE_K, workers=SERVE_WORKERS)
         seed_seconds = time.perf_counter() - started
@@ -133,12 +102,10 @@ def _measure_scale(bundle, bench_scale):
             REPEATS * 2,
             lambda: processor.query_batch([probe], PROBE_K, workers=SERVE_WORKERS),
         )
-        arena_bytes = pool.arena.nbytes if pool.arena is not None else 0
     return {
         "route_points": route_points,
         "seed_s": seed_seconds,
         "warm_dispatch_s": warm_seconds,
-        "arena_bytes": arena_bytes,
     }
 
 
@@ -195,11 +162,11 @@ def test_serving_pool(benchmark, la_bundle, bench_scale, write_result):
         per_call_seconds / persistent_seconds if persistent_seconds else math.inf
     )
 
-    # Reseed payload: the pickled context a pool seed ships per worker,
-    # columnar (default) vs the legacy object-graph pickle.
-    reseed = _measure_reseed_payload(processor.engine_context)
+    # Reseed payload: the columnar context pickle a pool seed ships per
+    # worker.
+    reseed = {"columnar_bytes": processor.engine_context.reseed_payload_nbytes()}
 
-    # Arena-attach scaling: seed vs warm dispatch at two dataset scales.
+    # Dispatch scaling: seed vs warm dispatch at two dataset scales.
     small = _measure_scale(la_bundle, bench_scale)
     large_scale = dataclasses.replace(
         bench_scale,
@@ -251,15 +218,12 @@ def test_serving_pool(benchmark, la_bundle, bench_scale, write_result):
             f"{LARGE_SCALE_FACTOR:g}x the dataset)"
         ),
     )
-    payload_table = format_table(
-        [
-            {"encoding": "columnar (default)", "bytes": reseed["columnar_bytes"]},
-            {"encoding": "object graph (RKNNT_COLUMNAR=0)", "bytes": reseed["object_bytes"]},
-        ],
-        title=f"pickled-context reseed payload (shrink {reseed['shrink']:.2f}x)",
-    )
     write_result(
-        "serving_pool", table + "\n\n" + scale_table + "\n\n" + payload_table
+        "serving_pool",
+        table
+        + "\n\n"
+        + scale_table
+        + f"\n\ncolumnar reseed payload: {reseed['columnar_bytes']} B",
     )
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -291,18 +255,6 @@ def test_serving_pool(benchmark, la_bundle, bench_scale, write_result):
         },
     )
 
-    # Acceptance bar: the columnar reseed payload must be at least 2x
-    # smaller than the legacy object-graph pickle.
-    assert reseed["shrink"] >= PAYLOAD_SHRINK_BAR, (
-        f"expected the columnar reseed payload to shrink >= "
-        f"{PAYLOAD_SHRINK_BAR}x, got {reseed['shrink']:.2f}x "
-        f"({reseed['columnar_bytes']} B vs {reseed['object_bytes']} B)"
-    )
-
-    # Acceptance bar: no shared-memory segment survives the measurements.
-    assert arena.active_segment_names() == [], (
-        f"leaked shared-memory segments: {arena.active_segment_names()}"
-    )
     if cpus >= 2:
         # Acceptance bar: reusing a warm pool must beat respawning one per
         # call.  On single-CPU machines both paths are correctness-checked

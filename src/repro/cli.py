@@ -14,7 +14,7 @@ Eight sub-commands cover the typical workflows without writing any Python:
 ``serve``
     Long-running serving loop: stream query batches (and interleaved
     transition updates) from a file or stdin through one persistent worker
-    pool with shared-memory dataset arenas.
+    pool.
 ``server``
     Network serving front-end: a TCP server speaking the newline-framed
     JSON protocol of :mod:`repro.engine.protocol`, coalescing queries
@@ -584,7 +584,7 @@ def command_serve(args: argparse.Namespace) -> int:
 
     Unlike ``query --batch-file`` — which answers one workload and exits,
     spawning a fresh worker pool per invocation — ``serve`` keeps one pool
-    (and its shared-memory dataset arena) alive for the whole stream:
+    alive for the whole stream:
     every flushed batch dispatches to already-warm workers, and transition
     updates are delta-synced into them instead of forcing respawns.
     """
@@ -738,11 +738,9 @@ def command_serve(args: argparse.Namespace) -> int:
                 workers=args.workers, start_method=args.start_method
             ) as pool:
                 consume_stream()
-                arena = pool.arena
                 pool_line = (
                     f"pool: {pool.workers} workers (persistent, "
-                    f"seeded {pool.pools_spawned}x), arena "
-                    + (f"{arena.nbytes} bytes shared" if arena else "off")
+                    f"seeded {pool.pools_spawned}x)"
                 )
         else:
             consume_stream()

@@ -32,8 +32,8 @@ def _add_node_union(
 
     Reads the node's packed sorted-id union (:meth:`~repro.index.rtree
     .RTreeNode.union_ids`) instead of the ``payload_union`` frozenset: on a
-    worker attached to a shared-memory arena this is a read-only slice of
-    the shared NList block, and iteration order is sorted everywhere.  The
+    store-booted index this is a read-only slice of the mapped NList
+    column, and iteration order is sorted everywhere.  The
     resulting set is identical either way, so decisions never change.
     """
     ids = kernels.id_list(node.union_ids())

@@ -206,7 +206,7 @@ class RkNNTProcessor:
         return self._continuous
 
     # ------------------------------------------------------------------
-    # Serving pool (persistent worker pool + shared-memory arenas)
+    # Serving pool (persistent worker pool)
     # ------------------------------------------------------------------
     @property
     def active_serving_pool(self):
@@ -219,7 +219,6 @@ class RkNNTProcessor:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        use_arena: Optional[bool] = None,
         queue_limit: Optional[int] = None,
     ) -> Iterator["ShardedExecutor"]:
         """Keep one worker pool alive across every parallel call in scope.
@@ -227,8 +226,11 @@ class RkNNTProcessor:
         Inside the ``with`` block, :meth:`query_batch` (any ``workers > 0``)
         and :meth:`refresh_subscriptions` both dispatch through this one pool
         instead of spawning a fresh pool per call — workers keep their
-        unpickled context, shared-memory arena attachment and warmed caches
-        between calls, so dispatch latency stops scaling with dataset size.
+        seeded context and warmed caches between calls, so dispatch latency
+        stops scaling with dataset size.  A store-booted processor seeds
+        its workers with the store handle (O(1) attach) while its indexes
+        are still at the packed versions; every other pool ships the
+        columnar context pickle.
 
         Dynamic updates stay correct while the pool is live: transition
         churn is forwarded to the workers as version-counted deltas (their
@@ -241,8 +243,7 @@ class RkNNTProcessor:
         ``RKNNT_START_METHOD`` (else ``fork`` on Linux, the platform
         default elsewhere) — the columnar context pickle makes serving
         start-method-agnostic, so ``spawn`` (macOS/Windows) answers
-        identically.  The pool (and its shared-memory segment) is
-        destroyed on exit, crash included — the ``with`` form is what
+        identically.  The pool is shut down on exit, crash included — the ``with`` form is what
         guarantees cleanup.  For an open-ended lifetime use
         ``RKNNT_SERVING_POOL=1`` plus :meth:`close`.
 
@@ -262,7 +263,6 @@ class RkNNTProcessor:
             workers=workers,
             chunk_size=chunk_size,
             start_method=start_method,
-            use_arena=use_arena,
             queue_limit=queue_limit,
         )
         self._serving_pool = pool
@@ -299,8 +299,8 @@ class RkNNTProcessor:
     def close(self) -> None:
         """Release long-lived resources (idempotent).
 
-        Shuts the persistent serving pool down (destroying its
-        shared-memory segment) and cancels every standing subscription.
+        Shuts the persistent serving pool down and cancels every standing
+        subscription.
         Query entry points remain usable afterwards — the serial path needs
         nothing closed, and a later parallel call simply builds fresh
         state.

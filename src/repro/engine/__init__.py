@@ -25,10 +25,6 @@ This package factors that pipeline out of the per-method modules:
   worker and deterministic result re-ordering; reusable as the processor's
   persistent *serving pool* (transition churn is delta-synced into the
   workers, route churn reseeds);
-* :mod:`repro.engine.arena` — shared-memory dataset arenas: the flattened
-  route matrix and packed R-tree box blocks published once into a
-  :mod:`multiprocessing.shared_memory` segment that workers attach
-  read-only views of in O(1), instead of rebuilding per worker;
 * :mod:`repro.engine.continuous` — :class:`ContinuousRkNNT` and
   :class:`Subscription`, delta-maintained standing queries over the
   transition index's typed mutation stream;
@@ -48,7 +44,6 @@ engine is backend-agnostic and produces element-wise identical answers on
 the numpy and pure-Python backends.
 """
 
-from repro.engine.arena import ArenaHandle, DatasetArena, publish_arena
 from repro.engine.context import ExecutionContext
 from repro.engine.continuous import (
     ContinuousRkNNT,
@@ -61,7 +56,6 @@ from repro.engine.filterset import FilterSet
 from repro.engine.locality import cluster_jobs, execute_batch
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.resilience import (
-    ArenaAttachError,
     Deadline,
     DeadlineExceeded,
     PoolSaturated,
@@ -84,14 +78,10 @@ from repro.engine.plan import (
 )
 
 __all__ = [
-    "ArenaAttachError",
-    "ArenaHandle",
     "ContinuousRkNNT",
     "DIVIDE_CONQUER",
-    "DatasetArena",
     "Deadline",
     "DeadlineExceeded",
-    "publish_arena",
     "DeltaStatistics",
     "ExecutionContext",
     "FILTER_REFINE",

@@ -28,28 +28,25 @@ are identical element-wise and the resulting pickles are byte-deterministic
 across runs and interpreters — unlike hash-ordered ``set`` iteration, which
 the columnar encoders replace everywhere.
 
-Uses.  The indexes pickle themselves through ``to_columns()`` /
-``from_columns()`` (gated by ``RKNNT_COLUMNAR``; see
-:mod:`repro.index.route_index` / :mod:`repro.index.transition_index`), which
-shrinks serving-pool reseed payloads severalfold and makes the pickle
-identical under the ``fork`` and ``spawn`` start methods.  The
-shared-memory arena (:mod:`repro.engine.arena`) publishes the PList and
-NList columns into its segment alongside the route-matrix and box blocks,
-and attached workers install read-only views in place of their private
-copies — the filter/verify stages then read NList unions and PList
-crossover sets straight out of the shared blocks through the offset-table
-gather / sorted-membership kernels in :mod:`repro.geometry.kernels`.
+Uses.  The indexes always pickle themselves through ``to_columns()`` /
+``from_columns()`` (see :mod:`repro.index.route_index` /
+:mod:`repro.index.transition_index`), which shrinks serving-pool reseed
+payloads severalfold and makes the pickle identical under the ``fork`` and
+``spawn`` start methods.  The persistent store (:mod:`repro.engine.store`)
+writes the same columns to disk, and a store-booted worker reads NList
+unions and PList crossover sets straight out of the mapped file through the
+offset-table gather / sorted-membership kernels in
+:mod:`repro.geometry.kernels`.
 
 Determinism.  Decoding reproduces the exact tree *structure* (preorder
 child counts drive the rebuild), the exact entry coordinates, and the
 exact payload sets, so a decoded index answers every query identically to
-the object-graph original — the differential tests in
+an index built from the datasets — the differential tests in
 ``tests/test_columnar.py`` assert this per method × semantics × backend.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -60,10 +57,6 @@ from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
 
-#: ``RKNNT_COLUMNAR`` — ``0``/``off`` falls back to the legacy object-graph
-#: pickles of the indexes; anything else (or unset) pickles columnar.
-COLUMNAR_ENV = "RKNNT_COLUMNAR"
-
 #: Payload kinds of :class:`TreeColumns`.
 PAYLOAD_ROUTE = "route"  # RR-tree: payload = set of route ids
 PAYLOAD_TAG = "tag"  # TR-tree: payload = set of (transition id, endpoint)
@@ -73,19 +66,12 @@ _ENDPOINT_CODE = {ORIGIN: 0, DESTINATION: 1}
 _ENDPOINT_LABEL = (ORIGIN, DESTINATION)
 
 
-def columnar_enabled() -> bool:
-    """True unless ``RKNNT_COLUMNAR`` disables columnar index pickling."""
-    raw = os.environ.get(COLUMNAR_ENV, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
-
-
 def walk_nodes(tree: RTree) -> Iterator[RTreeNode]:
     """Deterministic preorder over a tree's nodes.
 
     Identical on both sides of a pickle *and* of a columnar decode (the
     decoder rebuilds the exact structure), which is what lets the NList
-    columns and the arena box blocks be addressed positionally, without any
-    per-node metadata.
+    columns be addressed positionally, without any per-node metadata.
     """
     stack: List[RTreeNode] = [tree.root]
     while stack:
@@ -265,8 +251,8 @@ class PListColumns:
     ``points`` is sorted lexicographically by ``(x, y)`` so lookups are a
     binary search (:func:`repro.geometry.kernels.lex_search_point`);
     ``route_ids`` holds each point's crossover set, sorted, addressed
-    through ``offsets``.  A worker attached to a shared-memory arena holds
-    these as read-only views of the segment.
+    through ``offsets``.  A store-booted worker holds these as read-only
+    views of the mapped store file.
     """
 
     points: Any

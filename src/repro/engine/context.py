@@ -46,8 +46,7 @@ strips them, and each worker lazily rebuilds its own.  Since the columnar
 dataset core (:mod:`repro.engine.columnar`), the indexes serialise
 themselves as packed sorted-id/coordinate columns instead of object
 graphs, so the reseed payload is severalfold smaller, byte-deterministic,
-and identical under the ``fork`` and ``spawn`` start methods
-(``RKNNT_COLUMNAR=0`` restores the legacy object pickles).
+and identical under the ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -226,18 +225,12 @@ class ExecutionContext:
         self.transition_index = transition_index
         self._route_matrix: Optional[RouteMatrix] = None
         self._route_matrix_version = -1
-        #: Keeps a shared-memory arena attachment (and hence its mapping)
-        #: alive for as long as this context — whose route matrix and tree
-        #: caches may hold views into the segment — is alive.  Set by
-        #: :func:`repro.engine.arena.attach_arena`, never pickled.
-        self._arena_attachment: Optional[object] = None
         #: Handle of the persistent store file backing this context's
         #: indexes, or ``None``.  Set by :func:`repro.engine.store
         #: .attach_context` (worker boot) and by store-booted processors;
         #: while the indexes are still at the handle's packed versions, a
         #: serving reseed ships this handle instead of a columnar pickle
-        #: and the arena publisher short-circuits (the store file is
-        #: already file-backed shared memory through the page cache).
+        #: (the store file is shared through the OS page cache).
         self.store_handle = None
         #: The attached :class:`repro.engine.store.Store` (keeps the file
         #: mapping reachable for introspection).  Never pickled.
@@ -289,20 +282,6 @@ class ExecutionContext:
             self._route_matrix = self._build_route_matrix()
             self._route_matrix_version = version
         return self._route_matrix
-
-    def install_route_matrix(self, matrix: RouteMatrix, version: int) -> None:
-        """Install an externally built route matrix (shared-memory attach).
-
-        Used by :mod:`repro.engine.arena` when a worker attaches to a
-        published dataset arena: the blocks then hold read-only views of the
-        shared segment instead of privately rebuilt arrays.  The matrix is
-        tagged with the route-index ``version`` it was built against, so the
-        normal version guard still applies — if the routes churn afterwards,
-        the context silently falls back to a private rebuild (shared views
-        are never written to).
-        """
-        self._route_matrix = matrix
-        self._route_matrix_version = version
 
     def _build_route_matrix(self) -> RouteMatrix:
         excluded = self.route_index.excluded_route_ids
@@ -534,7 +513,6 @@ class ExecutionContext:
         state = self.__dict__.copy()
         state["_route_matrix"] = None
         state["_route_matrix_version"] = -1
-        state["_arena_attachment"] = None
         state["_store_attachment"] = None
         state["_subqueries"] = {}
         state["_subquery_versions"] = (-1, -1)

@@ -423,7 +423,7 @@ class QueryExecutor:
 
         The numpy backend consumes the node's cached packed array (leaf
         entries contribute degenerate boxes, exactly what the pruning tests
-        expect; shared-memory arena workers get these caches pre-attached).
+        expect).
         The scalar backend keeps plain tuples so no numpy machinery is
         touched on its path.
         """
@@ -471,9 +471,9 @@ class QueryExecutor:
         A candidate endpoint is confirmed when fewer than ``k`` distinct
         routes are strictly closer to it than the query.  The scalar backend
         counts through the RR-tree with the NList shortcut — which reads
-        each node's packed sorted-id union, a shared-memory NList block
-        slice on attached workers (see :mod:`repro.engine.columnar`); the
-        numpy backend reduces the context's flattened route matrix — both
+        each node's packed sorted-id union, a slice of the mapped NList
+        column on store-booted indexes (see :mod:`repro.engine.columnar`);
+        the numpy backend reduces the context's flattened route matrix — both
         compare the same squared distances, so the decisions coincide
         exactly.
         """

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the serving stack.
 
-Production faults — a worker OOM-killed mid-task, a shared-memory segment
-vanishing between publish and attach, a truncated delta-sync log — are
+Production faults — a worker OOM-killed mid-task, a store file vanishing
+between pack and attach, a truncated delta-sync log — are
 rare, racy and unreproducible.  This module turns each of them into a
 *named injection point* that fires on a deterministic, seeded schedule,
 so the chaos suite (``tests/test_resilience.py``) and the CI chaos job
@@ -13,8 +13,8 @@ Spec grammar (``RKNNT_FAULTS`` or :func:`injected`)::
     spec     := clause ("," clause)*
     clause   := point [":" option (";" option)*]
     option   := key "=" value
-    point    := worker_crash | task_delay | task_hang | arena_attach
-              | store_attach | sync_corrupt | reseed_fail
+    point    := worker_crash | task_delay | task_hang | store_attach
+              | sync_corrupt | reseed_fail
     key      := after     (skip the first N occurrences;          default 0)
               | count     (fire at most N times, 0 = unlimited;   default 1)
               | prob      (per-occurrence fire probability;       default 1.0)
@@ -42,10 +42,9 @@ The injection points and what they simulate:
 ``worker_crash``   ``os._exit`` in a pool worker (OOM kill, segfault)
 ``task_delay``     a slow worker (sleeps ``delay_ms`` before the task)
 ``task_hang``      a hung worker (sleeps ``delay_ms``, default 60 s)
-``arena_attach``   shared-memory attach failure (segment vanished)
 ``store_attach``   store-file attach failure (file vanished / corrupt)
 ``sync_corrupt``   delta-sync log truncation (parent drops newest delta)
-``reseed_fail``    pool reseed failure (arena/pickle/spawn breaks)
+``reseed_fail``    pool reseed failure (pickle/spawn breaks)
 =================  =====================================================
 
 All hooks are no-ops (one ``None`` check) when no runtime is installed —
@@ -80,7 +79,6 @@ HANG_DEFAULT_MS = 60_000.0
 WORKER_CRASH = "worker_crash"
 TASK_DELAY = "task_delay"
 TASK_HANG = "task_hang"
-ARENA_ATTACH = "arena_attach"
 STORE_ATTACH = "store_attach"
 SYNC_CORRUPT = "sync_corrupt"
 RESEED_FAIL = "reseed_fail"
@@ -91,7 +89,6 @@ POINTS = frozenset(
         WORKER_CRASH,
         TASK_DELAY,
         TASK_HANG,
-        ARENA_ATTACH,
         STORE_ATTACH,
         SYNC_CORRUPT,
         RESEED_FAIL,
@@ -107,8 +104,8 @@ class FaultSpecError(ValueError):
 
 
 class FaultInjected(RkNNTError):
-    """The error raised by raise-kind injection points (``arena_attach``,
-    ``store_attach``, ``reseed_fail``).  A subclass of :class:`~repro.engine.resilience
+    """The error raised by raise-kind injection points (``store_attach``,
+    ``reseed_fail``).  A subclass of :class:`~repro.engine.resilience
     .RkNNTError`, so it flows through the same recovery paths a real
     failure would."""
 
@@ -282,7 +279,7 @@ class FaultRuntime:
             if delay_ms > 0:
                 time.sleep(delay_ms / 1000.0)
             return True
-        if point in (ARENA_ATTACH, STORE_ATTACH, RESEED_FAIL):
+        if point in (STORE_ATTACH, RESEED_FAIL):
             raise FaultInjected(
                 f"injected fault at {point}",
                 point=point,

@@ -8,15 +8,22 @@ is the state: the indexes and caches live in one process, and the GIL
 serialises any thread-based attempt.  :class:`ShardedExecutor` therefore
 distributes shards across a :class:`concurrent.futures.ProcessPoolExecutor`:
 
-* the execution context is pickled **once** (with its derived caches
-  stripped — see :meth:`~repro.engine.context.ExecutionContext.__getstate__`)
-  and shipped to each worker through the pool's *initializer*, so per-query
-  messages carry only the query itself, never the dataset;
-* alongside the pickle the parent publishes a **shared-memory dataset
-  arena** (:mod:`repro.engine.arena`) holding the flattened route matrix
-  and the packed per-node box blocks of both R-trees; a worker *attaches*
-  read-only views in O(1) instead of rebuilding those arrays from the
-  unpickled objects, and all workers share one physical copy;
+* every worker is seeded **once**, through the pool's *initializer*, so
+  per-query messages carry only the query itself, never the dataset.  The
+  seed is one of two things, chosen by what the parent can observe:
+
+  - the context's :class:`~repro.engine.store.StoreHandle` when the
+    context is store-backed and its indexes are still at the packed
+    versions — the worker attaches the file in O(1) and every worker
+    shares its pages through the OS page cache;
+  - otherwise the **columnar pickle** of the context (derived caches
+    stripped — see :meth:`~repro.engine.context.ExecutionContext
+    .__getstate__`; the indexes encode themselves as packed columns).
+    This is the only seed on numpy-less installs, the seed after churn,
+    and the fallback when a store attach fails.
+
+  Either way each worker builds its route matrix and packed box blocks
+  privately and lazily, on first use;
 * shards are round-trip tagged with their position, so results always come
   back in workload order regardless of completion order — ``query_batch``
   output is deterministic and element-wise identical to the serial path
@@ -34,7 +41,7 @@ keeps alive between batches.  Reuse is safe under dynamic updates:
   version-guarded caches invalidate (or delta-patch) instead of being
   rebuilt from scratch;
 * *route churn* changes the geometry every cached structure was built
-  against, so the pool is reseeded (fresh pickle + fresh arena) — route
+  against, so the pool is reseeded with a fresh columnar pickle — route
   mutations are rare on the serving path, transition churn is the common
   case.
 
@@ -95,7 +102,6 @@ from typing import (
 
 from repro.core.result import RkNNTResult
 from repro.core.semantics import EXISTS, Semantics
-from repro.engine import arena as arena_module
 from repro.engine import faults, resilience
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryExecutor
@@ -136,9 +142,6 @@ SYNC_DELTA_LIMIT = 4096
 #: initializer.  Module-level because ProcessPoolExecutor tasks can only
 #: reach state through module globals.
 _WORKER_CONTEXT: Optional[ExecutionContext] = None
-#: The worker's arena attachment (kept alive so the shared views stay
-#: mapped for the life of the worker); ``None`` on the pickle-only path.
-_WORKER_ARENA = None
 #: The store attach failure (a :class:`~repro.engine.resilience.StoreError`)
 #: recorded when a store-handle seed could not be attached.  The first task
 #: re-raises it so the parent can reseed with a full pickle — initializers
@@ -149,7 +152,6 @@ _WORKER_STORE_ERROR: Optional[StoreError] = None
 
 def _initialize_worker(
     context_payload: Optional[bytes],
-    arena_handle,
     fault_runtime=None,
     store_handle=None,
 ) -> None:
@@ -157,15 +159,13 @@ def _initialize_worker(
 
     Store-backed seeding (``store_handle`` set, ``context_payload`` None)
     attaches the persistent store file in O(1); the pickle path unpickles
-    the shipped context and attaches the dataset arena when one was
-    published.  The parent's installed fault schedule rides along so chaos
-    counters are pool-global (the Nth task means the Nth across all
-    workers)."""
-    global _WORKER_CONTEXT, _WORKER_ARENA, _WORKER_STORE_ERROR
+    the shipped columnar context.  The parent's installed fault schedule
+    rides along so chaos counters are pool-global (the Nth task means the
+    Nth across all workers)."""
+    global _WORKER_CONTEXT, _WORKER_STORE_ERROR
     if fault_runtime is not None:
         faults.install(fault_runtime)
     _WORKER_CONTEXT = None
-    _WORKER_ARENA = None
     _WORKER_STORE_ERROR = None
     if store_handle is not None:
         from repro.engine import store as store_module
@@ -182,14 +182,6 @@ def _initialize_worker(
             )
     if _WORKER_CONTEXT is None and context_payload is not None:
         _WORKER_CONTEXT = pickle.loads(context_payload)
-    if arena_handle is not None and _WORKER_CONTEXT is not None:
-        try:
-            _WORKER_ARENA = arena_module.attach_arena(arena_handle, _WORKER_CONTEXT)
-        except Exception:
-            # Attach failures (segment vanished, layout mismatch, injected
-            # ArenaAttachError) degrade to the private-rebuild path —
-            # never to wrong answers.
-            _WORKER_ARENA = None
 
 
 def _worker_context() -> ExecutionContext:
@@ -350,7 +342,7 @@ START_METHOD_ENV = "RKNNT_START_METHOD"
 #: ``RKNNT_SHARD_BY=cluster`` assigns whole spatial clusters (the grid
 #: snap of :func:`repro.engine.locality.cluster_jobs`) to the same shard
 #: instead of slicing the workload in input order.  Nearby queries then
-#: run in the same worker — its caches and arena pages stay hot, and with
+#: run in the same worker — its caches stay hot, and with
 #: ``RKNNT_LOCALITY=1`` the cluster's pilot/neighbour sharing happens
 #: entirely inside one process.  Results are re-scattered to workload
 #: order either way; unknown values fall back to ``index``.
@@ -472,8 +464,7 @@ class ShardedExecutor:
     ----------
     context:
         The execution context to replicate into every worker.  Its derived
-        caches are never serialised; workers attach them from the shared
-        arena (or rebuild privately on the fallback path).
+        caches are never serialised; each worker rebuilds them privately.
     workers:
         Number of worker processes; ``None`` selects the available CPU
         count.  ``0`` is rejected — it means "in-process" on every other
@@ -485,18 +476,14 @@ class ShardedExecutor:
     start_method:
         Multiprocessing start method override (``fork`` where available by
         default; the context is shipped explicitly either way).
-    use_arena:
-        ``True`` / ``False`` forces the shared-memory arena on or off for
-        this executor; ``None`` (default) defers to the ``RKNNT_ARENA`` /
-        ``RKNNT_ARENA_MIN_BYTES`` environment knobs.
     queue_limit:
         Bound on in-flight shard tasks (admission + submission window);
         ``None`` defers to ``RKNNT_QUEUE_LIMIT``, ``0`` is unbounded.
 
     The executor owns one pool across all of its :meth:`run` calls — reuse
     it (it is a context manager, and the processor's ``serving_pool`` keeps
-    one alive) when issuing several batches, so workers keep their contexts,
-    arena attachments and warmed caches between batches.  Dynamic updates
+    one alive) when issuing several batches, so workers keep their contexts
+    and warmed caches between batches.  Dynamic updates
     never produce stale answers: transition churn is delta-synced into the
     workers, route churn reseeds the pool.
 
@@ -514,7 +501,6 @@ class ShardedExecutor:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        use_arena: Optional[bool] = None,
         queue_limit: Optional[int] = None,
     ):
         if chunk_size is not None and chunk_size <= 0:
@@ -523,7 +509,6 @@ class ShardedExecutor:
         self.workers = resolve_worker_count(workers)
         self.chunk_size = chunk_size
         self.start_method = start_method or _preferred_start_method()
-        self.use_arena = use_arena
         self.queue_limit = (
             resilience.default_queue_limit()
             if queue_limit is None
@@ -535,7 +520,6 @@ class ShardedExecutor:
         self.retry_policy = resilience.RetryPolicy(seed=0)
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._pool_versions: Tuple[int, int] = (-1, -1)
-        self._arena: Optional[arena_module.DatasetArena] = None
         self._sync_log: List[TransitionDelta] = []
         self._sync_overflow = False
         self._listener_attached = False
@@ -549,7 +533,7 @@ class ShardedExecutor:
         self.crash_recoveries = 0
         #: Sync-log corruptions recovered by reseeding.
         self.sync_recoveries = 0
-        #: Failed pool reseeds (arena publish / pickle / spawn broke).
+        #: Failed pool reseeds (pickle / spawn broke).
         self.reseed_failures = 0
         #: Batches answered in process after degradation.
         self.degraded_runs = 0
@@ -595,11 +579,6 @@ class ShardedExecutor:
             self.context.transition_index.remove_listener(self._on_transition_delta)
             self._listener_attached = False
 
-    def _arena_enabled(self) -> bool:
-        if self.use_arena is not None:
-            return self.use_arena
-        return arena_module.arena_enabled() is not False
-
     def _store_seed_handle(self):
         """The store handle a reseed may ship instead of the context pickle.
 
@@ -621,7 +600,7 @@ class ShardedExecutor:
             route_version != self._pool_versions[0] or self._sync_overflow
         ):
             # Route mutations change the geometry every worker-side cache
-            # and the arena were built against, and an overflowed sync log
+            # was built against, and an overflowed sync log
             # can no longer prove delta coverage: reseed.  Transition-only
             # churn never lands here — it is delta-synced per task.
             self.close()
@@ -634,13 +613,6 @@ class ShardedExecutor:
             self._sync_overflow = False
             try:
                 faults.fire(faults.RESEED_FAIL)
-                if self._arena_enabled():
-                    forced = self.use_arena is True
-                    self._arena = arena_module.publish_arena(
-                        self.context,
-                        min_bytes=0 if forced else None,
-                        force=forced,
-                    )
                 store_handle = self._store_seed_handle()
                 if store_handle is not None:
                     # O(1) seed: workers attach the persistent store file
@@ -655,19 +627,15 @@ class ShardedExecutor:
                         self.context, protocol=pickle.HIGHEST_PROTOCOL
                     )
                     self.last_seed_nbytes = len(payload)
-                handle = self._arena.handle if self._arena is not None else None
                 self._pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=multiprocessing.get_context(self.start_method),
                     initializer=_initialize_worker,
-                    initargs=(payload, handle, faults.current(), store_handle),
+                    initargs=(payload, faults.current(), store_handle),
                 )
             except Exception as exc:
                 # Roll the half-seeded state back so the next attempt (or
                 # the degraded fallback) starts clean.
-                if self._arena is not None:
-                    self._arena.close()
-                    self._arena = None
                 self._detach_listener()
                 if isinstance(exc, faults.FaultSpecError):
                     # A malformed RKNNT_FAULTS spec must stay loud — were
@@ -697,22 +665,15 @@ class ShardedExecutor:
         return (target, deltas)
 
     @property
-    def arena(self) -> Optional[arena_module.DatasetArena]:
-        """The currently published dataset arena (``None`` off/fallback)."""
-        return self._arena
-
-    @property
     def degraded(self) -> bool:
         """True once the executor answers in process (reseed budget spent)."""
         return self._degraded
 
     def close(self) -> None:
-        """Shut the pool down and destroy the published arena (idempotent).
+        """Shut the pool down (idempotent).
 
         Also resets degradation: a closed executor starts its next batch
-        healthy, on a fresh pool.  Unlinking the segment while late workers
-        still map it is safe: the OS keeps the backing memory alive until
-        the last detach, and new pools publish a fresh segment.
+        healthy, on a fresh pool.
         """
         if self._pool is not None:
             self._pool.shutdown()
@@ -723,9 +684,6 @@ class ShardedExecutor:
         self._store_seed_failed = False
 
     def _reset_pool_state(self) -> None:
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
         self._detach_listener()
         self._sync_log = []
         self._sync_overflow = False
@@ -1042,8 +1000,7 @@ class ShardedExecutor:
         state = "degraded" if self._degraded else (
             "open" if self._pool is not None else "idle"
         )
-        arena = self._arena.name if self._arena is not None else None
         return (
             f"ShardedExecutor(workers={self.workers}, "
-            f"start_method={self.start_method!r}, arena={arena!r}, {state})"
+            f"start_method={self.start_method!r}, {state})"
         )

@@ -2,7 +2,7 @@
 
 The serving stack (:mod:`repro.engine.parallel`, the processor's
 ``serving_pool`` and the CLI ``serve`` loop) crosses process boundaries,
-shares memory segments and replays delta logs — every one of those seams
+maps store files and replays delta logs — every one of those seams
 can fail independently of query correctness.  This module collects the
 *policy* half of surviving those failures; the mechanisms (reseed, replay,
 serial fallback) stay where the state lives, in
@@ -158,7 +158,7 @@ class WorkerCrashError(RkNNTError):
 
 
 class ReseedError(RkNNTError):
-    """Re-seeding the pool (arena publish, context pickle, spawn) failed."""
+    """Re-seeding the pool (context pickle, spawn) failed."""
 
     wire_code = "reseed_failed"
 
@@ -170,19 +170,11 @@ class SyncLogError(RkNNTError):
     wire_code = "sync_log_corrupt"
 
 
-class ArenaAttachError(RkNNTError):
-    """A worker failed to attach the shared-memory dataset arena.
-    Recoverable in-place: the worker rebuilds its caches privately."""
-
-    wire_code = "arena_attach_failed"
-
-
 class StoreError(RkNNTError):
     """A persistent store file could not be written, opened or validated
     (missing file, truncated header, checksum mismatch, unsupported
-    format version, numpy unavailable).  Recoverable exactly like
-    :class:`ArenaAttachError`: the caller degrades to the pickle path
-    and answers stay identical."""
+    format version, numpy unavailable).  Recoverable: the caller degrades
+    to the columnar pickle path and answers stay identical."""
 
     wire_code = "store_attach_failed"
 

@@ -185,6 +185,10 @@ class RkNNTServer:
     updates, flushed queries with their ``seq``, watch registrations) —
     the differential tests replay it serially through a fresh processor
     and demand byte-identical answers.
+
+    Updates live in memory only.  A store file is a frozen snapshot, so a
+    store-booted server logs one ``updates are not durable`` WARNING on
+    its first applied insert/delete: a restart boots the file as packed.
     """
 
     def __init__(
@@ -203,7 +207,6 @@ class RkNNTServer:
         deadline_ms: Optional[float] = None,
         queue_limit: Optional[int] = None,
         start_method: Optional[str] = None,
-        use_arena: Optional[bool] = None,
         record_oplog: bool = False,
     ) -> None:
         if workers < 0:
@@ -224,7 +227,6 @@ class RkNNTServer:
         )
         self.deadline_ms = deadline_ms
         self.start_method = start_method
-        self.use_arena = use_arena
         self._gate = resilience.AdmissionGate(queue_limit)
         self.record_oplog = record_oplog
         #: In-order operation log (see class docstring); only filled when
@@ -280,7 +282,6 @@ class RkNNTServer:
             self._pool_cm = self.processor.serving_pool(
                 workers=self.workers,
                 start_method=self.start_method,
-                use_arena=self.use_arena,
             )
             self._pool = self._pool_cm.__enter__()
         self._server = await asyncio.start_server(
@@ -656,6 +657,13 @@ class RkNNTServer:
                 )
         self.version += 1
         self.stats["updates"] += 1
+        handle = self.processor.engine_context.store_handle
+        if handle is not None and self.stats["updates"] == 1:
+            _LOGGER.warning(
+                "updates are not durable: %s is a frozen snapshot, inserts "
+                "and deletes since boot are lost on restart",
+                handle.path,
+            )
         self._push_deltas()
         return protocol.ok_reply(
             request.id, seq=next(self._seq), version=self.version

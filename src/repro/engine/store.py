@@ -9,17 +9,16 @@ those columns to a **single on-disk file** that loads by ``mmap``:
 * :func:`save` serialises the existing ``to_columns()`` output
   (``RouteIndexColumns`` + ``TransitionIndexColumns``) into one file —
   magic + format version + checksummed header, a :class:`ColumnSpec`
-  offset table, float64 regions before int32 regions (the same alignment
-  discipline as the shared-memory arena segments of
-  :mod:`repro.engine.arena`);
+  offset table, float64 regions before int32 regions so every view stays
+  naturally aligned;
 * :func:`open_store` maps the file read-only and exposes the columns as
   zero-copy numpy views over one ``mmap`` — no per-column copy, no
   decode.  Opening is O(1) in dataset size: the OS pages columns in on
   demand, which is also what lets datasets exceed RAM;
 * :func:`attach_context` is the worker-side boot path: a reseed ships a
   tiny picklable :class:`StoreHandle` (path + layout + expected versions)
-  instead of a columnar pickle, and the worker attaches the file exactly
-  the way it attaches an arena segment.
+  instead of a columnar pickle, and the worker maps the file read-only and
+  decodes nothing up front.
 
 File layout (all little-endian)::
 
@@ -46,8 +45,7 @@ Failure contract: every way a store can fail to write, open or validate
 (missing file, truncated preamble, checksum mismatch, unsupported format
 version, layout drift, numpy unavailable) raises a typed
 :class:`~repro.engine.resilience.StoreError`, and callers degrade to the
-pickle path exactly like :class:`~repro.engine.resilience
-.ArenaAttachError` — identical answers, never a crash.  The
+columnar pickle path — identical answers, never a crash.  The
 ``store_attach`` injection point (:mod:`repro.engine.faults`) drives that
 degradation deterministically in the chaos suite.
 

@@ -108,39 +108,12 @@ def pack_boxes(boxes: BoxTuples):
     return [tuple(float(v) for v in b) for b in boxes]
 
 
-FLOAT64_ITEMSIZE = 8
-
-
-def float64_nbytes(rows: int, cols: int) -> int:
-    """Bytes needed to store a ``(rows, cols)`` float64 array."""
-    return rows * cols * FLOAT64_ITEMSIZE
-
-
-def write_f64(buffer, offset: int, array) -> int:
-    """Copy a float64 array into ``buffer`` at ``offset``; returns the end.
-
-    The workhorse of the shared-memory arena publisher: ``buffer`` is a
-    writable buffer (e.g. ``SharedMemory.buf``) and ``array`` any 2-D
-    float64 array-like.  The transient view created for the copy is dropped
-    before returning so the buffer keeps no exported pointers (closing a
-    shared-memory segment with live exports raises ``BufferError``).
-    """
-    assert numpy_available(), "write_f64 requires the numpy backend"
-    source = _np.ascontiguousarray(array, dtype=_np.float64)
-    end = offset + source.nbytes
-    if source.size:
-        view = _np.ndarray(source.shape, dtype=_np.float64, buffer=buffer, offset=offset)
-        view[...] = source
-        del view
-    return end
-
-
 def view_f64(buffer, offset: int, rows: int, cols: int):
     """Read-only float64 view of ``buffer`` at ``offset``.
 
-    The arena attach primitive: the returned array aliases the buffer
+    The store attach primitive: the returned array aliases the buffer
     (no copy) and is marked non-writable, so a worker can never scribble
-    over a segment other processes are reading.
+    over a mapping other processes are reading.
     """
     assert numpy_available(), "view_f64 requires the numpy backend"
     view = _np.ndarray((rows, cols), dtype=_np.float64, buffer=buffer, offset=offset)
@@ -154,7 +127,6 @@ def view_f64(buffer, offset: int, rows: int, cols: int):
 #: ``array.array`` typecode with a 32-bit signed layout on every supported
 #: platform ("i" is C int, 4 bytes everywhere CPython runs today).
 INT32_TYPECODE = "i"
-INT32_ITEMSIZE = 4
 
 
 def pack_i32(values: Iterable[int]):
@@ -170,32 +142,10 @@ def pack_i32(values: Iterable[int]):
     return _stdlib_array(INT32_TYPECODE, values)
 
 
-def int32_nbytes(count: int) -> int:
-    """Bytes needed to store ``count`` int32 values."""
-    return count * INT32_ITEMSIZE
-
-
-def write_i32(buffer, offset: int, values) -> int:
-    """Copy an int32 array into ``buffer`` at ``offset``; returns the end.
-
-    The integer twin of :func:`write_f64`, used by the shared-memory arena
-    to publish id and offset columns.  The transient view is dropped before
-    returning so the buffer keeps no exported pointers.
-    """
-    assert numpy_available(), "write_i32 requires the numpy backend"
-    source = _np.ascontiguousarray(values, dtype=_np.int32)
-    end = offset + source.nbytes
-    if source.size:
-        view = _np.ndarray(source.shape, dtype=_np.int32, buffer=buffer, offset=offset)
-        view[...] = source
-        del view
-    return end
-
-
 def view_i32(buffer, offset: int, count: int):
     """Read-only 1-D int32 view of ``buffer`` at ``offset``.
 
-    The integer twin of :func:`view_f64` (arena attach primitive)."""
+    The integer twin of :func:`view_f64` (store attach primitive)."""
     assert numpy_available(), "view_i32 requires the numpy backend"
     view = _np.ndarray((count,), dtype=_np.int32, buffer=buffer, offset=offset)
     view.setflags(write=False)

@@ -17,7 +17,7 @@ Iteration surfaces (:meth:`PointList.points`, :meth:`PointList
 reseed payloads, delta replays — is byte-deterministic across runs and
 interpreters.  A :class:`PointList` rebuilt ``from_columns`` stays in
 *columnar mode* (reads answered by binary search over the packed arrays,
-which may be read-only shared-memory views) until the first mutation
+which may be read-only views of a mapped store file) until the first mutation
 materialises a private dict.
 """
 
@@ -53,9 +53,9 @@ class PointList:
         """Wrap packed PList columns without materialising a dict.
 
         The columns may be private arrays (columnar pickle) or read-only
-        views of a shared-memory arena segment; either way lookups bisect
-        the sorted point column, and the first mutation copies out into a
-        private dict (shared views are never written to).
+        views of a mapped store file; either way lookups bisect the sorted
+        point column, and the first mutation copies out into a private dict
+        (mapped views are never written to).
         """
         point_list = cls()
         point_list._columns = columns
@@ -69,17 +69,6 @@ class PointList:
         from repro.engine.columnar import encode_plist
 
         return encode_plist(self.sorted_items())
-
-    def install_columns(self, columns) -> None:
-        """Switch to (fresh) columnar backing, dropping any private dict.
-
-        Used by the shared-memory arena attach: the installed columns hold
-        read-only views of the segment, replacing the private arrays the
-        pickle carried.  Only call with columns encoding the same logical
-        state — the arena guards this with its version counters.
-        """
-        self._columns = columns
-        self._routes_by_point = None
 
     def _mapping(self) -> Dict[PointKey, Set[int]]:
         """The mutable dict form, materialised from columns on first need."""
@@ -171,7 +160,7 @@ class NodeList:
     façade exposing that information under the paper's terminology and adds
     the bottom-up construction for trees built without tracking.  The
     packed per-node form of the same information (sorted id arrays with an
-    offset table, shareable through the arena) lives in
+    offset table, as pickled and stored) lives in
     :mod:`repro.engine.columnar` (``encode_nlist`` / ``install_nlist``) and
     on the nodes themselves (:meth:`repro.index.rtree.RTreeNode.union_ids`).
     """

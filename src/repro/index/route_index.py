@@ -54,8 +54,8 @@ class RouteIndex:
         #: engine keys its per-dataset caches on it (see ``engine/context.py``).
         self.version = 0
         #: Cached columnar encoding keyed by (index version, dataset
-        #: version); shared by pickling and arena publishing so one reseed
-        #: encodes at most once.  Never pickled.
+        #: version), so repeated reseeds of an unchanged index encode at
+        #: most once.  Never pickled.
         self._columns_cache = None
 
     # ------------------------------------------------------------------
@@ -122,14 +122,14 @@ class RouteIndex:
         return None
 
     # ------------------------------------------------------------------
-    # Columnar boundary (pickling + arena publishing)
+    # Columnar boundary (pickling + store packing)
     # ------------------------------------------------------------------
     def to_columns(self):
         """This index as packed columns (``RouteIndexColumns``), cached.
 
         The cache key is ``(index version, dataset version)``: any dynamic
-        update invalidates it, and a reseed that both pickles the index and
-        publishes an arena encodes exactly once.
+        update invalidates it, and reseeds of an unchanged index encode
+        exactly once.
         """
         from repro.engine.columnar import encode_route_index
 
@@ -208,29 +208,12 @@ class RouteIndex:
         self._lazy_columns = None
 
     def __getstate__(self):
-        """Pickle as packed columns (default) or the legacy object graph.
-
-        ``RKNNT_COLUMNAR=0`` keeps the object-graph pickle; either way the
-        derived columns cache never travels redundantly (on the columnar
-        path it *is* the payload, on the legacy path it is dropped).
-        """
-        from repro.engine.columnar import columnar_enabled
-
-        if columnar_enabled():
-            return {"__columnar__": self.to_columns()}
-        state = self.__dict__.copy()
-        state["_columns_cache"] = None
-        return state
+        """Pickle as packed columns: the cached encoding *is* the payload."""
+        return {"__columnar__": self.to_columns()}
 
     def __setstate__(self, state) -> None:
-        columns = state.get("__columnar__")
-        if columns is not None:
-            rebuilt = type(self).from_columns(columns)
-            self.__dict__.update(rebuilt.__dict__)
-            return
-        self.__dict__.update(state)
-        # Legacy pickles predating the columns cache.
-        self.__dict__.setdefault("_columns_cache", None)
+        rebuilt = type(self).from_columns(state["__columnar__"])
+        self.__dict__.update(rebuilt.__dict__)
 
     # ------------------------------------------------------------------
     # Accessors used by the search algorithms

@@ -100,14 +100,13 @@ class RTreeNode:
         #: Lazily cached packed array of :meth:`child_box_tuples` (see
         #: :meth:`packed_child_boxes`).  Derived state: dropped whenever the
         #: child set changes (every mutation path recomputes the bbox) and
-        #: never pickled.  The shared-memory arena pre-populates it with
-        #: read-only views so attached workers skip the packing work.
+        #: never pickled.
         self.packed_boxes: Optional[Any] = None
         #: Lazily cached sorted int32 id column of :attr:`payload_union`
         #: (RR-tree nodes only — payloads must be integer route ids; see
         #: :meth:`union_ids`).  Derived, never pickled, dropped by
-        #: :meth:`recompute_payload_union`; the shared-memory arena
-        #: pre-populates it with read-only NList views on attach.
+        #: :meth:`recompute_payload_union`; a columnar decode installs it
+        #: from the packed NList columns.
         self.packed_union: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -151,8 +150,8 @@ class RTreeNode:
 
         Only meaningful for trees whose payloads are integer ids (the
         RR-tree); the verification NList shortcut reads this column instead
-        of the frozenset so that attached workers consume the shared-memory
-        NList block directly and id iteration order is always sorted.
+        of the frozenset so that store-booted indexes read the mapped NList
+        column directly and id iteration order is always sorted.
         """
         packed = self.packed_union
         if packed is None:
@@ -166,9 +165,7 @@ class RTreeNode:
     def __getstate__(self):
         """Pickle everything but the derived packed-box cache.
 
-        The cache may hold numpy arrays (or shared-memory views, which must
-        never cross a process boundary through a pickle); a receiver repacks
-        or re-attaches its own.
+        The cache may hold numpy arrays; a receiver repacks its own.
         """
         return (
             self.is_leaf,
@@ -214,8 +211,8 @@ class RTreeNode:
         """Recompute the union of payload sets of the subtree (one level)."""
         self._payload_union = self._merged_child_union()
         # The packed id column mirrors the frozenset; any union change
-        # (dynamic insert/delete) drops it — including arena-attached views,
-        # which must never outlive the state they were published against.
+        # (dynamic insert/delete) drops it — including views of decoded
+        # NList columns, which must never outlive the state they encode.
         self.packed_union = None
 
     def entries(self) -> Iterator[RTreeEntry]:
@@ -250,9 +247,7 @@ class RTreeNode:
         node per kernel call; packing the same child boxes on every visit was
         pure overhead, so the packed array (``kernels.pack_boxes`` output —
         a numpy array or a plain tuple list, depending on the backend) is
-        cached on the node until its child set changes.  Workers attached to
-        a shared-memory arena receive these caches pre-populated with
-        read-only views instead of rebuilding them.
+        cached on the node until its child set changes.
         """
         cached = self.packed_boxes
         if cached is None:

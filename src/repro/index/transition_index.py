@@ -263,32 +263,18 @@ class TransitionIndex:
         self._lazy_columns = None
 
     def __getstate__(self) -> dict:
-        """Pickle as packed columns (default) or the legacy object graph.
+        """Pickle as packed columns.
 
-        Either way the listeners never travel: they are process-local
-        observers (subscriptions, execution contexts); shipping an index to
-        a shard worker must not drag them along — the worker re-attaches
-        its own listeners as needed.  ``RKNNT_COLUMNAR=0`` keeps the
-        object-graph pickle.
+        The listeners never travel: they are process-local observers
+        (subscriptions, execution contexts); shipping an index to a shard
+        worker must not drag them along — the worker re-attaches its own
+        listeners as needed.
         """
-        from repro.engine.columnar import columnar_enabled
-
-        if columnar_enabled():
-            return {"__columnar__": self.to_columns()}
-        state = self.__dict__.copy()
-        state["_listeners"] = []
-        state["_columns_cache"] = None
-        return state
+        return {"__columnar__": self.to_columns()}
 
     def __setstate__(self, state) -> None:
-        columns = state.get("__columnar__")
-        if columns is not None:
-            rebuilt = type(self).from_columns(columns)
-            self.__dict__.update(rebuilt.__dict__)
-            return
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_listeners", [])
-        self.__dict__.setdefault("_columns_cache", None)
+        rebuilt = type(self).from_columns(state["__columnar__"])
+        self.__dict__.update(rebuilt.__dict__)
 
     # ------------------------------------------------------------------
     # Accessors

@@ -4,12 +4,12 @@ The contract of :mod:`repro.engine.columnar`:
 
 * a decoded index is **structure-exact** — same preorder node walk, same
   bounding boxes, same entries, same payload sets;
-* the columnar pickle path is differentially equal to the legacy object
-  path — same results *and* same traversal counters, per method ×
-  semantics × backend;
+* an unpickled (columnar) context is differentially equal to the original
+  — same results *and* same traversal counters, per method × semantics ×
+  backend;
 * columnar pickles are byte-deterministic (sorted id columns everywhere,
-  no hash-ordered set iteration survives serialisation) and at least as
-  small as the object pickles by a wide margin;
+  no hash-ordered set iteration survives serialisation) and smaller than
+  a pickle of the object graph they encode by a wide margin;
 * PList/NList reads in columnar mode (binary search, packed unions) agree
   with the dict/frozenset reads bitwise, and the first mutation
   materialises a private copy without changing answers.
@@ -200,40 +200,29 @@ class TestIndexPickling:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("semantics", ["exists", "forall"])
     @pytest.mark.parametrize("method", METHODS)
-    def test_columnar_equals_object_path(
-        self, fresh_processor, monkeypatch, method, semantics, backend
+    def test_columnar_clone_equals_original(
+        self, fresh_processor, method, semantics, backend
     ):
-        """Columnar clone ≡ legacy clone ≡ original: results, confirmed
-        endpoints and traversal counters, per method × semantics × backend."""
+        """Columnar clone ≡ original: results, confirmed endpoints and
+        traversal counters, per method × semantics × backend."""
         context = fresh_processor.engine_context
-        columnar_clone = pickle.loads(pickle.dumps(context))
-        monkeypatch.setenv(columnar.COLUMNAR_ENV, "0")
-        object_clone = pickle.loads(pickle.dumps(context))
-        monkeypatch.delenv(columnar.COLUMNAR_ENV)
+        clone = pickle.loads(pickle.dumps(context))
         plan = QueryPlan.for_method(method, backend=backend)
         for query in QUERIES:
             expected = execute(context, query, K, plan, semantics)
-            via_columns = execute(columnar_clone, query, K, plan, semantics)
-            via_objects = execute(object_clone, query, K, plan, semantics)
-            assert via_columns.confirmed_endpoints == expected.confirmed_endpoints
-            assert via_columns.transition_ids == expected.transition_ids
-            assert via_objects.transition_ids == expected.transition_ids
-            for probe in (via_columns, via_objects):
-                assert (
-                    probe.stats.route_nodes_visited
-                    == expected.stats.route_nodes_visited
-                )
-                assert (
-                    probe.stats.transition_nodes_visited
-                    == expected.stats.transition_nodes_visited
-                )
-                assert (
-                    probe.stats.nodes_pruned
-                    == expected.stats.nodes_pruned
-                )
-                assert (
-                    probe.stats.candidates == expected.stats.candidates
-                )
+            probe = execute(clone, query, K, plan, semantics)
+            assert probe.confirmed_endpoints == expected.confirmed_endpoints
+            assert probe.transition_ids == expected.transition_ids
+            assert (
+                probe.stats.route_nodes_visited
+                == expected.stats.route_nodes_visited
+            )
+            assert (
+                probe.stats.transition_nodes_visited
+                == expected.stats.transition_nodes_visited
+            )
+            assert probe.stats.nodes_pruned == expected.stats.nodes_pruned
+            assert probe.stats.candidates == expected.stats.candidates
 
     def test_pickles_are_byte_deterministic(self, fresh_processor):
         context = fresh_processor.engine_context
@@ -245,33 +234,20 @@ class TestIndexPickling:
         clone = pickle.loads(first)
         assert pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL) == first
 
-    def test_pickles_shrink(self, fresh_processor, monkeypatch):
+    def test_pickles_shrink(self, fresh_processor):
         context = fresh_processor.engine_context
         columnar_bytes = context.reseed_payload_nbytes()
-        monkeypatch.setenv(columnar.COLUMNAR_ENV, "0")
-        object_bytes = context.reseed_payload_nbytes()
+        # The object graph the columns encode: both indexes' attributes
+        # pickled as plain objects (caches and listeners dropped).
+        graph = [
+            dict(index.__dict__, _columns_cache=None, _listeners=[])
+            for index in (context.route_index, context.transition_index)
+        ]
+        object_bytes = len(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
         assert columnar_bytes * 3 <= object_bytes * 2, (
             f"columnar pickle {columnar_bytes} B is not >= 1.5x smaller "
-            f"than the object pickle {object_bytes} B"
+            f"than the object graph's pickle {object_bytes} B"
         )
-
-    def test_env_knob_restores_object_pickles(self, fresh_processor, monkeypatch):
-        monkeypatch.setenv(columnar.COLUMNAR_ENV, "0")
-        assert not columnar.columnar_enabled()
-        state = fresh_processor.route_index.__getstate__()
-        assert "__columnar__" not in state
-        clone = pickle.loads(pickle.dumps(fresh_processor.engine_context))
-        for query in QUERIES:
-            expected, _ = run_stages(
-                fresh_processor.engine_context,
-                query,
-                K,
-                QueryPlan.for_method("voronoi"),
-            )
-            actual, _ = run_stages(
-                clone, query, K, QueryPlan.for_method("voronoi")
-            )
-            assert actual == expected
 
     def test_versions_survive_the_round_trip(self, mini_city, mini_transitions):
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)

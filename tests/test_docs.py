@@ -2,7 +2,8 @@
 
 ``tools/check_docs.py`` runs every ``>>>`` doctest example in ``README.md``
 and ``docs/*.md``, compiles the plain python fences, resolves relative
-links and asserts the CLI surface is documented.  Running it from the
+links, asserts the CLI surface is documented and that the ``docs/api.md``
+environment table and ``src/`` name the same ``RKNNT_*`` knobs.  Running it from the
 tier-1 suite means documentation rot fails locally, not just in CI.
 """
 
@@ -51,3 +52,22 @@ def test_check_docs_passes_as_script():
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert "OK" in completed.stdout
+
+
+def test_check_env_knobs_flags_a_stale_table_row(tmp_path):
+    checker = load_checker()
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "knobs.py").write_text('LIVE_ENV = "RKNNT_LIVE"\n', encoding="utf-8")
+    api = tmp_path / "api.md"
+    api.write_text(
+        "| Variable | Default | Effect |\n"
+        "|---|---|---|\n"
+        "| `RKNNT_LIVE` | unset | Read by the code. |\n"
+        "| `RKNNT_GONE` | unset | Nothing reads this any more. |\n",
+        encoding="utf-8",
+    )
+    failures = []
+    assert checker.check_env_knobs(failures, str(api), str(src)) == 1
+    assert len(failures) == 1
+    assert "`RKNNT_GONE`" in failures[0] and "nothing under src/" in failures[0]

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from repro.core.rknnt import RkNNTProcessor
 from repro.data.checkins import TransitionGenerator
 from repro.model.dataset import RouteDataset
-from repro.engine import arena, faults, resilience
-from repro.geometry.kernels import numpy_available
+from repro.engine import faults, resilience
 from repro.engine.faults import FaultRuntime, FaultSpec, FaultSpecError, parse_spec
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.plan import QueryPlan
@@ -539,24 +538,6 @@ class TestChaosPool:
                 # reseeds and answers exactly.
                 expected = _endpoints(_serial(chaos_processor, chaos_jobs))
                 assert _endpoints(pool.run(chaos_jobs, K, _plan())) == expected
-
-    @pytest.mark.skipif(
-        not numpy_available(), reason="arenas require the numpy backend"
-    )
-    def test_arena_attach_failure_degrades_to_pickle_path(
-        self, chaos_processor, chaos_jobs
-    ):
-        expected = _endpoints(_serial(chaos_processor, chaos_jobs))
-        with faults.injected("arena_attach:count=0") as runtime:
-            with ShardedExecutor(
-                chaos_processor.engine_context, workers=WORKERS, use_arena=True
-            ) as pool:
-                results = pool.run(chaos_jobs, K, _plan())
-                assert _endpoints(results) == expected
-                assert pool.arena is not None  # parent still published it
-                assert pool.crash_recoveries == 0  # recovered in place
-            assert runtime.fire_count(faults.ARENA_ATTACH) >= 1
-        assert arena.active_segment_names() == []
 
     def test_sync_corruption_recovered_by_reseed(self, chaos_processor, chaos_jobs):
         from repro.model.transition import Transition

@@ -1,10 +1,12 @@
 """Unit tests for the R-tree substrate (bulk load, insert, delete, queries)."""
 
 import math
+import pickle
 import random
 
 import pytest
 
+from repro.engine.columnar import walk_nodes
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import euclidean
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
@@ -223,3 +225,30 @@ class TestQueries:
         assert tree.range_search(BoundingBox(0, 0, 1, 1)) == []
         assert tree.nearest_neighbors((0, 0), k=3) == []
         assert list(tree.iter_nearest((0, 0))) == []
+
+
+class TestPackedBoxCache:
+    def test_mutation_invalidates_the_cache(self):
+        tree = RTree(max_entries=4)
+        for index in range(6):
+            tree.insert(RTreeEntry((float(index), 0.0), frozenset({index})))
+        root = tree.root
+        packed = root.packed_child_boxes()
+        assert root.packed_boxes is packed  # cached
+        tree.insert(RTreeEntry((9.0, 9.0), frozenset({99})))
+        assert tree.root.packed_boxes is None  # dropped by the mutation
+        rebuilt = tree.root.packed_child_boxes()
+        assert len(rebuilt) == len(tree.root.children)
+
+    def test_cache_is_never_pickled(self):
+        tree = RTree(max_entries=4)
+        for index in range(10):
+            tree.insert(RTreeEntry((float(index), 1.0), frozenset({index})))
+        for node in walk_nodes(tree):
+            node.packed_child_boxes()
+        clone = pickle.loads(pickle.dumps(tree))
+        for node in walk_nodes(clone):
+            assert node.packed_boxes is None
+        assert [e.point for e in clone.entries()] == [
+            e.point for e in tree.entries()
+        ]

@@ -340,6 +340,54 @@ class TestServerBasics:
         finally:
             processor.close()
 
+    @pytest.mark.skipif(
+        not numpy_available(), reason="the store needs the numpy backend"
+    )
+    def test_store_booted_server_warns_once_that_updates_are_not_durable(
+        self, tmp_path, caplog
+    ):
+        from repro.engine import store as store_module
+
+        source = fresh_processor()
+        path = str(tmp_path / "world.store")
+        store_module.save_indexes(
+            path, source.route_index, source.transition_index
+        )
+        processor = RkNNTProcessor.from_store(path)
+        try:
+            with caplog.at_level("WARNING", logger="repro.engine.server"):
+                with ServerThread(processor, window_ms=1.0) as handle:
+                    with LineClient(handle.host, handle.port) as client:
+                        assert client.query([(2.0, 2.0)], k=K)["ok"]
+                        assert client.insert(900, (2.0, 2.0), (2.1, 2.1))["ok"]
+                        assert client.insert(901, (3.0, 3.0), (3.1, 3.1))["ok"]
+                        assert client.delete(900)["ok"]
+        finally:
+            processor.close()
+        warnings = [
+            record
+            for record in caplog.records
+            if record.name == "repro.engine.server"
+            and "updates are not durable" in record.getMessage()
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert path in warnings[0].getMessage()
+
+    def test_in_memory_server_does_not_warn_about_durability(self, caplog):
+        processor = fresh_processor()
+        try:
+            with caplog.at_level("WARNING", logger="repro.engine.server"):
+                with ServerThread(processor, window_ms=1.0) as handle:
+                    with LineClient(handle.host, handle.port) as client:
+                        assert client.insert(900, (2.0, 2.0), (2.1, 2.1))["ok"]
+        finally:
+            processor.close()
+        assert not any(
+            "updates are not durable" in record.getMessage()
+            for record in caplog.records
+        )
+
     def test_queries_coalesce_into_micro_batches(self):
         processor = fresh_processor()
         clients = 8

@@ -20,7 +20,6 @@ import pytest
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import METHODS, RkNNTProcessor, SERVING_POOL_ENV
 from repro.data.checkins import TransitionGenerator
-from repro.engine import arena
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.plan import QueryPlan
 from repro.geometry.kernels import numpy_available
@@ -58,12 +57,11 @@ def serve_queries(mini_workload):
 @pytest.fixture(scope="module")
 def serving(mini_city, mini_transitions):
     """One persistent pool shared by the whole differential sweep (reuse is
-    the point); asserts its segment does not outlive the scope."""
+    the point); asserts the pool does not outlive the scope."""
     processor = RkNNTProcessor(mini_city.routes, mini_transitions)
     with processor.serving_pool(workers=WORKERS) as pool:
         yield processor, pool
     assert processor.active_serving_pool is None
-    assert arena.active_segment_names() == []
 
 
 class TestServingEquivalence:
@@ -162,16 +160,13 @@ class TestDynamicUpdatesWhilePoolLive:
     def test_worker_crash_mid_query_recovers_once(self, churn_processor):
         processor, _ = churn_processor
         query = [(2.0, 2.0), (3.0, 2.5)]
-        baseline = set(arena.active_segment_names())
         with processor.serving_pool(workers=WORKERS) as pool:
             expected = processor.query_batch([query], K, workers=WORKERS)[0]
-            first_arena = pool.arena
             # Kill a worker out from under the executor, then wait until
             # the pool has noticed (otherwise the surviving worker could
             # serve the next dispatch before the break is detected and no
             # recovery would be needed): the next dispatch hits a broken
-            # pool, reseeds (old arena destroyed, fresh one published) and
-            # replays the workload.
+            # pool, reseeds and replays the workload.
             pool._pool.submit(os._exit, 13)
             deadline = time.monotonic() + 30.0
             while not pool._pool._broken and time.monotonic() < deadline:
@@ -180,13 +175,7 @@ class TestDynamicUpdatesWhilePoolLive:
             after = processor.query_batch([query], K, workers=WORKERS)[0]
             assert after.confirmed_endpoints == expected.confirmed_endpoints
             assert pool.crash_recoveries == 1
-            if first_arena is not None:
-                assert first_arena.closed
-                assert first_arena.name not in arena.active_segment_names()
-        # Nothing this pool published survives its exit (a module-scoped
-        # pool from the differential sweep may still be live, hence the
-        # baseline comparison rather than a plain "empty" check).
-        assert set(arena.active_segment_names()) <= baseline
+            assert pool.pools_spawned == 2
 
 
 class TestServingPoolLifecycle:
@@ -198,20 +187,17 @@ class TestServingPoolLifecycle:
         assert mini_processor.active_serving_pool is None
 
     def test_double_close_is_idempotent(self, mini_city, mini_transitions):
-        baseline = set(arena.active_segment_names())
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         with processor.serving_pool(workers=1) as pool:
             processor.query_batch([[(2.0, 2.0)]], K, workers=1)
         pool.close()  # second close (the context manager already closed it)
         processor.close()
         processor.close()
-        assert set(arena.active_segment_names()) <= baseline
 
     def test_env_knob_adopts_a_persistent_pool(
         self, mini_city, mini_transitions, monkeypatch
     ):
         monkeypatch.setenv(SERVING_POOL_ENV, "1")
-        baseline = set(arena.active_segment_names())
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         queries = [[(2.0, 2.0)], [(3.0, 2.5), (2.0, 2.0)]]
         serial = processor.query_batch(queries, K)
@@ -226,7 +212,6 @@ class TestServingPoolLifecycle:
             assert b.confirmed_endpoints == expected.confirmed_endpoints
         processor.close()
         assert processor.active_serving_pool is None
-        assert set(arena.active_segment_names()) <= baseline
 
     def test_env_adopted_pool_grows_but_never_shrinks(
         self, mini_city, mini_transitions, monkeypatch
@@ -260,21 +245,16 @@ class TestSpawnStartMethod:
     """Spawn-start-method serving (the macOS/Windows leg).
 
     The columnar context pickle is start-method-agnostic, so a spawn pool
-    must answer exactly like the fork pool and the serial path — and must
-    clean its shared-memory segment up just the same.
+    must answer exactly like the fork pool and the serial path.
     """
 
     @pytest.fixture(scope="class")
     def spawn_serving(self, mini_city, mini_transitions):
-        # Other (module-scoped) pools may be live with their own segments;
-        # only segments this pool published must be gone after teardown.
-        baseline = set(arena.active_segment_names())
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         with processor.serving_pool(workers=WORKERS, start_method="spawn") as pool:
             assert pool.start_method == "spawn"
             yield processor, pool
         assert processor.active_serving_pool is None
-        assert set(arena.active_segment_names()) <= baseline
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", METHODS)
@@ -326,7 +306,6 @@ class TestSpawnStartMethod:
 
 class TestServingIntegration:
     def test_refresh_subscriptions_via_pool(self, mini_city, mini_transitions):
-        baseline = set(arena.active_segment_names())
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         queries = [
             [(2.0, 2.0), (3.0, 2.5)],
@@ -362,4 +341,3 @@ class TestServingIntegration:
         finally:
             processor.remove_route(route_id)
             processor.close()
-        assert set(arena.active_segment_names()) <= baseline

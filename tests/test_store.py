@@ -26,6 +26,8 @@ from repro.engine import faults
 from repro.engine import store as store_module
 from repro.engine.resilience import StoreError
 from repro.geometry.kernels import numpy_available
+from repro.model.route import Route
+from repro.model.transition import Transition
 
 K = 3
 QUERY_COUNT = 4
@@ -259,7 +261,7 @@ class TestServingPoolSeeding:
     """Workers boot from the store handle, not a multi-megabyte pickle."""
 
     @pytest.mark.parametrize("start_method", [None, "spawn"])
-    def test_store_seed_is_compact_and_skips_arena(
+    def test_store_seed_is_compact(
         self, packed, mini_processor, store_queries, start_method
     ):
         processor = RkNNTProcessor.from_store(packed[0])
@@ -273,9 +275,48 @@ class TestServingPoolSeeding:
             assert pool.store_seeds == 1
             assert pool.store_fallbacks == 0
             assert pool.last_seed_nbytes < 4096
-            # The store file IS the shared memory: no arena published.
-            assert pool.arena is None
         assert pooled == expected
+
+    @pytest.mark.parametrize("start_method", [None, "spawn"])
+    def test_churned_store_pool_reseeds_with_columnar_pickle(
+        self, packed, store_queries, start_method
+    ):
+        processor = RkNNTProcessor.from_store(packed[0])
+
+        def assert_pooled_equals_oracle():
+            pooled = processor.query_batch(store_queries, K, workers=WORKERS)
+            for query, result in zip(store_queries, pooled):
+                oracle = rknnt_bruteforce(
+                    processor.routes, processor.transitions, query, K
+                )
+                assert result.transition_ids == oracle.transition_ids
+
+        with processor.serving_pool(
+            workers=WORKERS, start_method=start_method
+        ) as pool:
+            assert_pooled_equals_oracle()
+            assert (pool.store_seeds, pool.pools_spawned) == (1, 1)
+            # Transition churn is delta-synced into the store-seeded workers.
+            processor.add_transition(
+                Transition(
+                    processor.transitions.next_id(), (2.05, 2.05), (2.9, 2.4)
+                )
+            )
+            assert_pooled_equals_oracle()
+            assert pool.pools_spawned == 1
+            # Route churn moves the indexes off the packed versions: the
+            # handle no longer matches, so the reseed ships the pickle.
+            processor.add_route(
+                Route(
+                    processor.routes.next_id(),
+                    [(1.5, 1.6), (2.5, 2.1), (3.2, 2.3)],
+                )
+            )
+            assert_pooled_equals_oracle()
+            assert pool.store_seeds == 1
+            assert pool.pools_spawned == 2
+            assert pool.last_seed_nbytes > 4096
+            assert pool.store_fallbacks == 0
 
     def test_attach_fault_degrades_to_pickle_path(
         self, packed, mini_processor, store_queries, caplog

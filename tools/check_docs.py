@@ -19,10 +19,12 @@ Checks, per markdown file:
 4. **CLI surface** — every sub-command of ``repro.cli`` must be mentioned
    in the README (so new commands cannot ship undocumented), and the
    README must link both docs pages.
-5. **Environment knobs** — every ``RKNNT_*`` variable referenced anywhere
-   under ``src/`` must appear (backtick-quoted) in the ``docs/api.md``
-   environment table, so a new knob cannot ship undocumented and a renamed
-   one cannot leave its stale row behind unnoticed.
+5. **Environment knobs**, both ways — every ``RKNNT_*`` variable
+   referenced anywhere under ``src/`` must appear (backtick-quoted) in the
+   ``docs/api.md`` environment table, and every ``| `RKNNT_*` |`` row of
+   that table must name a variable something under ``src/`` reads.  A new
+   knob cannot ship undocumented, and a renamed or deleted one cannot
+   leave its stale row behind.
 
 Exit status 0 when everything passes; 1 otherwise, with one line per
 failure.  The tier-1 suite runs this via ``tests/test_docs.py`` and CI has
@@ -44,6 +46,7 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_KNOB_RE = re.compile(r"\bRKNNT_[A-Z0-9_]+\b")
+ENV_ROW_RE = re.compile(r"^\|\s*`(RKNNT_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
 
 
 def doc_files() -> List[str]:
@@ -146,19 +149,22 @@ def check_cli_surface(failures: List[str]) -> None:
             failures.append(f"README.md: missing link to {required}")
 
 
-def check_env_knobs(failures: List[str]) -> int:
-    """Every ``RKNNT_*`` knob referenced in ``src/`` must be documented.
+def check_env_knobs(
+    failures: List[str], api_path: str = "", src_dir: str = SRC_DIR
+) -> int:
+    """The ``docs/api.md`` environment table and ``src/`` name the same knobs.
 
-    The environment table of ``docs/api.md`` is the single inventory of
-    runtime knobs; a knob read by the code but absent there is invisible
-    to operators.  Matching is by backtick-quoted name, the way every
-    table row renders it.
+    The table is the single inventory of runtime knobs.  A knob read by
+    the code but absent there is invisible to operators; a table row for a
+    knob nothing reads documents a lever that does nothing.  Documented
+    means backtick-quoted anywhere in the page, the way every table row
+    renders it; a row is a line starting ``| `RKNNT_...` |``.
     """
-    api_path = os.path.join(REPO_ROOT, "docs", "api.md")
+    api_path = api_path or os.path.join(REPO_ROOT, "docs", "api.md")
     with open(api_path, "r", encoding="utf-8") as handle:
         api_text = handle.read()
     knobs = set()
-    pattern = os.path.join(SRC_DIR, "**", "*.py")
+    pattern = os.path.join(src_dir, "**", "*.py")
     for path in glob.glob(pattern, recursive=True):
         with open(path, "r", encoding="utf-8") as handle:
             knobs.update(ENV_KNOB_RE.findall(handle.read()))
@@ -168,6 +174,11 @@ def check_env_knobs(failures: List[str]) -> int:
                 f"docs/api.md: environment knob `{knob}` (referenced in "
                 f"src/) is missing from the environment table"
             )
+    for knob in sorted(set(ENV_ROW_RE.findall(api_text)) - knobs):
+        failures.append(
+            f"docs/api.md: environment table row `{knob}` names a knob "
+            f"nothing under src/ reads"
+        )
     return len(knobs)
 
 
