@@ -15,8 +15,8 @@ route dataset         route ids (i32) · point offsets (i32) · points (f64)
 transition dataset    transition ids (i32) · endpoint coords (f64)
 R-tree (RR and TR)    preorder child counts + leaf flags (i32) · leaf
                       entry points (f64) · payload offsets (i32) · payload
-                      values (i32: route ids, or ``(transition id,
-                      endpoint code)`` tag pairs)
+                      values (i32: route ids, or exactly one
+                      ``(transition id, endpoint code)`` tag pair per entry)
 PList                 point locations (f64, sorted lexicographically) ·
                       offsets (i32) · crossover route ids (i32, sorted)
 NList                 per-node offsets (i32, preorder) · route ids (i32,
@@ -59,11 +59,11 @@ from repro.model.transition import Transition
 
 #: Payload kinds of :class:`TreeColumns`.
 PAYLOAD_ROUTE = "route"  # RR-tree: payload = set of route ids
-PAYLOAD_TAG = "tag"  # TR-tree: payload = set of (transition id, endpoint)
+PAYLOAD_TAG = "tag"  # TR-tree: payload = one (transition id, endpoint) tag
 
 #: Endpoint labels as int32 codes (tag pairs are ``(transition_id, code)``).
 _ENDPOINT_CODE = {ORIGIN: 0, DESTINATION: 1}
-_ENDPOINT_LABEL = (ORIGIN, DESTINATION)
+_ENDPOINT_LABEL = {0: ORIGIN, 1: DESTINATION}
 
 
 def walk_nodes(tree: RTree) -> Iterator[RTreeNode]:
@@ -92,7 +92,10 @@ class TreeColumns:
     ``entry_points`` holds the leaf-entry coordinates in the same preorder;
     ``payload_offsets`` is an offset table over ``payload_values`` with one
     row per leaf entry (values are route ids for ``payload_kind="route"``,
-    flattened ``(transition_id, endpoint_code)`` pairs for ``"tag"``).
+    exactly one ``(transition_id, endpoint_code)`` pair for ``"tag"``).
+    ``track_payload_union`` is only ever honoured for route payloads: a
+    TR-tree decodes without unions even from columns packed by older code
+    that recorded ``True``.
     """
 
     payload_kind: str
@@ -119,26 +122,22 @@ def _encode_route_payload(payload: Iterable[Any]) -> List[int]:
     return sorted(int(route_id) for route_id in payload)
 
 
-def _decode_route_payload(values) -> Any:
-    return frozenset(kernels.id_list(values))
+def _decode_route_payload(values: List[int], start: int, stop: int) -> Any:
+    return frozenset(values[start:stop])
 
 
-def _encode_tag_payload(payload: Iterable[TransitionEntry]) -> List[int]:
-    flat: List[int] = []
-    for transition_id, code in sorted(
-        (int(tag.transition_id), _ENDPOINT_CODE[tag.endpoint]) for tag in payload
-    ):
-        flat.append(transition_id)
-        flat.append(code)
-    return flat
+def _encode_tag_payload(tag: TransitionEntry) -> List[int]:
+    return [int(tag.transition_id), _ENDPOINT_CODE[tag.endpoint]]
 
 
-def _decode_tag_payload(values) -> Any:
-    flat = kernels.id_list(values)
-    return frozenset(
-        TransitionEntry(flat[i], _ENDPOINT_LABEL[flat[i + 1]])
-        for i in range(0, len(flat), 2)
-    )
+def _decode_tag_payload(values: List[int], start: int, stop: int) -> TransitionEntry:
+    if stop - start != 2:
+        raise ValueError(
+            "a TR-tree tag row holds one (transition id, endpoint code) pair, "
+            f"got {stop - start} values"
+        )
+    # An unknown code maps to None, which TransitionEntry rejects.
+    return TransitionEntry(values[start], _ENDPOINT_LABEL.get(values[start + 1]))
 
 
 _PAYLOAD_CODECS = {
@@ -187,53 +186,59 @@ def decode_tree(columns: TreeColumns) -> RTree:
     encoded one.  Bounding boxes are recomputed bottom-up from the same
     coordinates in the same order (bitwise identical); payload unions are
     left lazy (see :attr:`repro.index.rtree.RTreeNode.payload_union`) so a
-    decode costs no set-building up front.
+    decode costs no set-building up front.  Each column is turned into a
+    Python list once (:func:`~repro.geometry.kernels.id_list`): indexing a
+    list per entry is several times cheaper than indexing numpy.
     """
     _, decoder = _PAYLOAD_CODECS[columns.payload_kind]
+    track_union = (
+        columns.track_payload_union and columns.payload_kind == PAYLOAD_ROUTE
+    )
     tree = RTree(
         max_entries=columns.max_entries,
         min_entries=columns.min_entries,
-        track_payload_union=columns.track_payload_union,
+        track_payload_union=track_union,
     )
     tree._size = columns.size
-    child_counts = columns.child_counts
-    leaf_flags = columns.leaf_flags
-    entry_points = columns.entry_points
-    payload_offsets = columns.payload_offsets
-    payload_values = columns.payload_values
-    cursor = {"node": 0, "entry": 0}
+    child_counts = kernels.id_list(columns.child_counts)
+    leaf_flags = kernels.id_list(columns.leaf_flags)
+    entry_points = kernels.id_list(columns.entry_points)
+    payload_offsets = kernels.id_list(columns.payload_offsets)
+    payload_values = kernels.id_list(columns.payload_values)
+    next_node = 0
+    next_entry = 0
 
     def build() -> RTreeNode:
-        index = cursor["node"]
-        cursor["node"] = index + 1
+        nonlocal next_node, next_entry
+        index = next_node
+        next_node += 1
         node = RTreeNode(is_leaf=bool(leaf_flags[index]))
-        count = int(child_counts[index])
+        count = child_counts[index]
         if node.is_leaf:
-            for _ in range(count):
-                entry_index = cursor["entry"]
-                cursor["entry"] = entry_index + 1
-                point = entry_points[entry_index]
-                payload = decoder(
-                    kernels.gather_row(payload_values, payload_offsets, entry_index)
+            first = next_entry
+            next_entry += count
+            node.children = [
+                RTreeEntry(
+                    entry_points[i],
+                    decoder(payload_values, payload_offsets[i], payload_offsets[i + 1]),
                 )
-                node.children.append(
-                    RTreeEntry((float(point[0]), float(point[1])), payload)
-                )
+                for i in range(first, next_entry)
+            ]
         else:
             for _ in range(count):
                 child = build()
                 child.parent = node
                 node.children.append(child)
         node.recompute_bbox()
-        if columns.track_payload_union:
+        if track_union:
             node._payload_union = None  # materialised lazily on first read
         return node
 
     root = build()
-    if cursor["node"] != columns.node_count or cursor["entry"] != columns.entry_count:
+    if next_node != columns.node_count or next_entry != columns.entry_count:
         raise ValueError(
-            f"tree columns are inconsistent: decoded {cursor['node']} nodes / "
-            f"{cursor['entry']} entries, encoded {columns.node_count} / "
+            f"tree columns are inconsistent: decoded {next_node} nodes / "
+            f"{next_entry} entries, encoded {columns.node_count} / "
             f"{columns.entry_count}"
         )
     root.parent = None
@@ -396,12 +401,13 @@ def encode_routes(dataset: RouteDataset) -> RouteColumns:
 
 def decode_routes(columns: RouteColumns) -> RouteDataset:
     dataset = RouteDataset()
+    offsets = kernels.id_list(columns.offsets)
+    points = kernels.id_list(columns.points)
     for index, route_id in enumerate(kernels.id_list(columns.ids)):
-        points = kernels.gather_row(columns.points, columns.offsets, index)
         dataset.add(
             Route(
                 route_id,
-                [(float(p[0]), float(p[1])) for p in points],
+                points[offsets[index] : offsets[index + 1]],
                 name=columns.names[index],
             )
         )
@@ -444,14 +450,15 @@ def encode_transitions(dataset: TransitionDataset) -> TransitionColumns:
 
 def decode_transitions(columns: TransitionColumns) -> TransitionDataset:
     dataset = TransitionDataset()
-    for index, transition_id in enumerate(kernels.id_list(columns.ids)):
-        row = columns.coords[index]
+    for transition_id, row, timestamp in zip(
+        kernels.id_list(columns.ids), kernels.id_list(columns.coords), columns.timestamps
+    ):
         dataset.add(
             Transition(
                 transition_id,
-                (float(row[0]), float(row[1])),
-                (float(row[2]), float(row[3])),
-                timestamp=columns.timestamps[index],
+                (row[0], row[1]),
+                (row[2], row[3]),
+                timestamp=timestamp,
             )
         )
     dataset.version = columns.version

@@ -349,9 +349,8 @@ class ExecutionContext:
         coords: List[Tuple[float, float]] = []
         tags: List[Tuple[int, str]] = []
         for entry in self.transition_index.tree.entries():
-            for tag in entry.payload:
-                coords.append(entry.point)
-                tags.append((tag.transition_id, tag.endpoint))
+            coords.append(entry.point)
+            tags.append(entry.payload)
         if backend == kernels.BACKEND_NUMPY:
             points = kernels.pack_points(coords)
             blocks = [

@@ -392,8 +392,7 @@ class QueryExecutor:
                     if filtered:
                         continue
                     assert isinstance(entry, RTreeEntry)
-                    for tag in entry.payload:
-                        candidates.append((entry.point, tag))
+                    candidates.append((entry.point, entry.payload))
             else:
                 mask = self._filtered_boxes(self._node_boxes(node), query, normalised)
                 for child, filtered in zip(node.children, mask):

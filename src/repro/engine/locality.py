@@ -317,8 +317,7 @@ def _margin_prune(
                 if delta < threshold:
                     continue
                 assert isinstance(entry, RTreeEntry)
-                for tag in entry.payload:
-                    candidates.append(((entry.point, tag), threshold))
+                candidates.append(((entry.point, entry.payload), threshold))
         else:
             for child, threshold in zip(node.children, thresholds):
                 assert isinstance(child, RTreeNode)

@@ -157,7 +157,9 @@ def id_list(ids) -> List[int]:
 
     Set/dict consumers (the NList shortcut, crossover-set accounting) go
     through this so numpy scalars never leak into id sets — mixed
-    ``np.int32``/``int`` members hash identically but copy slower.
+    ``np.int32``/``int`` members hash identically but copy slower.  The
+    columnar decoders also pass float64 point/box columns, whose rows come
+    back as lists of the same floats (bitwise).
     """
     if hasattr(ids, "tolist"):
         return ids.tolist()

@@ -55,7 +55,7 @@ class RTreeEntry:
         Arbitrary application data.  When the owning tree is created with
         ``track_payload_union=True`` the payload must be a set-like of
         hashables (the RR-tree stores the set of route ids covering the
-        point, the TR-tree stores ``(transition_id, endpoint)`` tags).
+        point).
     """
 
     __slots__ = ("point", "payload")

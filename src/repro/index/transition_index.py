@@ -12,7 +12,7 @@ and the execution context's delta-aware sub-query cache patching
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from repro.geometry.bbox import BoundingBox
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
@@ -57,24 +57,34 @@ class TransitionDelta:
 DeltaListener = Callable[[TransitionDelta], None]
 
 
-@dataclass(frozen=True)
-class TransitionEntry:
-    """Payload of a TR-tree leaf entry: which endpoint of which transition."""
-
+class _Tag(NamedTuple):
     transition_id: int
     endpoint: str  # ORIGIN or DESTINATION
 
-    def __post_init__(self) -> None:
-        if self.endpoint not in (ORIGIN, DESTINATION):
+
+class TransitionEntry(_Tag):
+    """Payload of a TR-tree leaf entry: which endpoint of which transition.
+
+    A slotted named tuple, stored as the leaf entry's payload itself (one
+    tag per endpoint, no container around it).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, transition_id: int, endpoint: str) -> "TransitionEntry":
+        if endpoint not in (ORIGIN, DESTINATION):
             raise ValueError(f"endpoint must be '{ORIGIN}' or '{DESTINATION}'")
+        return super().__new__(cls, transition_id, endpoint)
 
 
 class TransitionIndex:
     """Spatial index over a :class:`~repro.model.dataset.TransitionDataset`.
 
     Each transition contributes two leaf entries to the TR-tree (origin and
-    destination), tagged with :class:`TransitionEntry` payloads so that the
-    verification step can recover the owning transition.
+    destination), each carrying one :class:`TransitionEntry` tag as its
+    payload so that the verification step can recover the owning
+    transition.  The TR-tree keeps no per-node payload unions: nothing
+    reads them (only the RR-tree's NList does).
 
     The index supports the dynamic workflow of the paper: transitions can be
     added as new passenger requests arrive and removed once they expire.
@@ -126,23 +136,8 @@ class TransitionIndex:
     def _build_tree(self) -> RTree:
         entries: List[RTreeEntry] = []
         for transition in self.transitions:
-            entries.append(
-                RTreeEntry(
-                    transition.origin,
-                    frozenset({TransitionEntry(transition.transition_id, ORIGIN)}),
-                )
-            )
-            entries.append(
-                RTreeEntry(
-                    transition.destination,
-                    frozenset(
-                        {TransitionEntry(transition.transition_id, DESTINATION)}
-                    ),
-                )
-            )
-        return RTree.bulk_load(
-            entries, max_entries=self.max_entries, track_payload_union=True
-        )
+            entries.extend(_endpoint_entries(transition))
+        return RTree.bulk_load(entries, max_entries=self.max_entries)
 
     # ------------------------------------------------------------------
     # Dynamic updates
@@ -150,20 +145,8 @@ class TransitionIndex:
     def add_transition(self, transition: Transition) -> None:
         """Index a transition appended to the dataset after construction."""
         self.version += 1
-        self.tree.insert(
-            RTreeEntry(
-                transition.origin,
-                frozenset({TransitionEntry(transition.transition_id, ORIGIN)}),
-            )
-        )
-        self.tree.insert(
-            RTreeEntry(
-                transition.destination,
-                frozenset(
-                    {TransitionEntry(transition.transition_id, DESTINATION)}
-                ),
-            )
-        )
+        for entry in _endpoint_entries(transition):
+            self.tree.insert(entry)
         self._emit(DELTA_INSERT, transition)
 
     def remove_transition(self, transition: Transition) -> int:
@@ -179,7 +162,7 @@ class TransitionIndex:
             (transition.destination, DESTINATION),
         ):
             tag = TransitionEntry(transition.transition_id, endpoint)
-            entry = self.tree.remove(point, match=lambda e: tag in e.payload)
+            entry = self.tree.remove(point, match=lambda e: e.payload == tag)
             if entry is not None:
                 removed += 1
         self._emit(DELTA_DELETE, transition)
@@ -297,11 +280,19 @@ class TransitionIndex:
     ) -> Iterator[Tuple[Tuple[float, float], TransitionEntry]]:
         """Yield ``(location, tag)`` for every endpoint inside ``box``."""
         for entry in self.tree.range_search(box):
-            for tag in entry.payload:
-                yield entry.point, tag
+            yield entry.point, entry.payload
 
     def __repr__(self) -> str:
         return (
             f"TransitionIndex(transitions={len(self.transitions)}, "
             f"endpoints={len(self.tree)})"
         )
+
+
+def _endpoint_entries(transition: Transition) -> Tuple[RTreeEntry, RTreeEntry]:
+    """The two TR-tree leaf entries of ``transition``: origin, destination."""
+    tid = transition.transition_id
+    return (
+        RTreeEntry(transition.origin, TransitionEntry(tid, ORIGIN)),
+        RTreeEntry(transition.destination, TransitionEntry(tid, DESTINATION)),
+    )

@@ -257,6 +257,43 @@ class TestStoreDifferential:
 
 
 @needs_numpy
+class TestOldTransitionTreeMeta:
+    """A store packed when the TR-tree still tracked payload unions."""
+
+    def test_union_flag_is_ignored_and_answers_hold(
+        self, tmp_path, mini_city, mini_transitions, mini_processor, store_queries
+    ):
+        import dataclasses
+
+        from repro.engine.columnar import TransitionIndexColumns
+
+        columns = mini_processor.transition_index.to_columns()
+        old_tree = dataclasses.replace(columns.tree, track_payload_union=True)
+        old_columns = TransitionIndexColumns(
+            transitions=columns.transitions,
+            tree=old_tree,
+            version=columns.version,
+            max_entries=columns.max_entries,
+        )
+        path = str(tmp_path / "old.store")
+        store_module.save(path, mini_processor.route_index.to_columns(), old_columns)
+        with store_module.open_store(path) as store:
+            assert store.meta["ttree"]["track_payload_union"] is True
+
+        stored = RkNNTProcessor.from_store(path)
+        tree = stored.transition_index.tree
+        assert tree.track_payload_union is False
+        for method in METHODS:
+            for query, result in zip(
+                store_queries, stored.query_batch(store_queries, K, method=method)
+            ):
+                oracle = rknnt_bruteforce(
+                    mini_city.routes, mini_transitions, query, K
+                )
+                assert result.transition_ids == oracle.transition_ids
+
+
+@needs_numpy
 class TestServingPoolSeeding:
     """Workers boot from the store handle, not a multi-megabyte pickle."""
 

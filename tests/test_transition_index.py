@@ -3,8 +3,14 @@
 import pytest
 
 import pickle
+import random
 
+from repro.core.rknnt import RkNNTProcessor
+from repro.data.workloads import make_city
+from repro.engine import columnar
 from repro.geometry.bbox import BoundingBox
+from repro.geometry.kernels import numpy_available
+from repro.index.rtree import RTreeNode
 from repro.index.transition_index import (
     DELTA_DELETE,
     DELTA_INSERT,
@@ -32,6 +38,12 @@ class TestTransitionEntry:
         assert tag in {TransitionEntry(3, ORIGIN)}
         with pytest.raises(AttributeError):
             tag.endpoint = DESTINATION
+
+    def test_is_a_slotted_pair(self):
+        tag = TransitionEntry(3, ORIGIN)
+        assert tuple(tag) == (3, ORIGIN)
+        assert not hasattr(tag, "__dict__")
+        assert pickle.loads(pickle.dumps(tag)) == tag
 
 
 class TestConstruction:
@@ -138,3 +150,135 @@ class TestDeltaStream:
         clone = pickle.loads(pickle.dumps(index))
         assert clone._listeners == []
         assert clone.endpoint_count() == index.endpoint_count()
+
+
+def _fresh_mini_transitions() -> TransitionDataset:
+    """A private copy of the mini city's transitions (safe to mutate)."""
+    _, transitions = make_city("mini")
+    return TransitionDataset(list(transitions))
+
+
+def _churn(index: TransitionIndex, dataset: TransitionDataset, calls: int, seed: int):
+    """``calls`` mixed random deletes and re-inserts (under new ids)."""
+    rng = random.Random(seed)
+    next_id = max(t.transition_id for t in dataset) + 1
+    for step in range(calls):
+        if step % 2 == 0:
+            victim = rng.choice(sorted(t.transition_id for t in dataset))
+            index.remove_transition(dataset.remove(victim))
+        else:
+            x, y = rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+            fresh = Transition(next_id, (x, y), (y, x))
+            next_id += 1
+            dataset.add(fresh)
+            index.add_transition(fresh)
+
+
+def _assert_one_tag_per_leaf(index: TransitionIndex) -> None:
+    seen = set()
+    for node in columnar.walk_nodes(index.tree):
+        if not node.is_leaf:
+            continue
+        for entry in node.children:
+            tag = entry.payload
+            assert type(tag) is TransitionEntry, repr(tag)
+            seen.add(tag)
+    expected = {
+        TransitionEntry(t.transition_id, endpoint)
+        for t in index.transitions
+        for endpoint in (ORIGIN, DESTINATION)
+    }
+    assert seen == expected
+    assert len(index.tree) == len(expected)
+
+
+class TestNoPayloadUnions:
+    """The TR-tree never builds or maintains per-node payload unions."""
+
+    def test_build_and_churn_never_touch_unions(self, monkeypatch):
+        calls = []
+        recompute = RTreeNode.recompute_payload_union
+        merge = RTreeNode._merged_child_union
+
+        def counted_recompute(node):
+            calls.append("recompute_payload_union")
+            return recompute(node)
+
+        def counted_merge(node):
+            calls.append("_merged_child_union")
+            return merge(node)
+
+        monkeypatch.setattr(RTreeNode, "recompute_payload_union", counted_recompute)
+        monkeypatch.setattr(RTreeNode, "_merged_child_union", counted_merge)
+
+        dataset = _fresh_mini_transitions()
+        index = TransitionIndex(dataset, max_entries=8)
+        _churn(index, dataset, calls=40, seed=5)
+        assert not index.tree.track_payload_union
+        assert calls == []
+        _assert_one_tag_per_leaf(index)
+
+
+class TestOneTagPerLeaf:
+    """Every TR-tree leaf payload is exactly one TransitionEntry."""
+
+    def test_after_bulk_load(self):
+        _assert_one_tag_per_leaf(TransitionIndex(_fresh_mini_transitions()))
+
+    def test_after_add_transition(self):
+        dataset = _fresh_mini_transitions()
+        index = TransitionIndex(dataset, max_entries=4)
+        for offset in range(20):
+            fresh = Transition(10_000 + offset, (offset * 0.3, 1.0), (2.0, offset * 0.2))
+            dataset.add(fresh)
+            index.add_transition(fresh)
+        _assert_one_tag_per_leaf(index)
+
+    def test_after_columnar_pickle_round_trip(self):
+        dataset = _fresh_mini_transitions()
+        index = TransitionIndex(dataset, max_entries=8)
+        _churn(index, dataset, calls=10, seed=1)
+        clone = pickle.loads(pickle.dumps(index))
+        assert not clone.tree.track_payload_union
+        _assert_one_tag_per_leaf(clone)
+
+    @pytest.mark.skipif(
+        not numpy_available(), reason="the store maps columns with numpy"
+    )
+    def test_after_from_store_materialises(self, tmp_path):
+        from repro.engine import store
+
+        city, transitions = make_city("mini")
+        processor = RkNNTProcessor(city.routes, transitions)
+        path = str(tmp_path / "mini.store")
+        store.save_indexes(path, processor.route_index, processor.transition_index)
+        booted = RkNNTProcessor.from_store(path)
+        index = booted.transition_index
+        assert "tree" not in index.__dict__
+        _assert_one_tag_per_leaf(index)
+        assert not index.tree.track_payload_union
+
+    @pytest.mark.parametrize(
+        "offsets, values, message",
+        [
+            # Two (tid, code) pairs in one row, as the old frozenset encoding
+            # allowed.
+            ([0, 4], [7, 0, 8, 1], "one"),
+            ([0, 2], [7, 2], "endpoint"),
+        ],
+    )
+    def test_decoder_rejects_a_bad_tag_row(self, offsets, values, message):
+        bad = columnar.TreeColumns(
+            payload_kind=columnar.PAYLOAD_TAG,
+            max_entries=8,
+            min_entries=4,
+            track_payload_union=False,
+            size=1,
+            child_counts=[1],
+            leaf_flags=[1],
+            entry_points=[(1.0, 2.0)],
+            payload_offsets=offsets,
+            payload_values=values,
+        )
+        with pytest.raises(ValueError, match=message):
+            columnar.decode_tree(bad)
