@@ -47,10 +47,12 @@ an index built from the datasets — the differential tests in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry import kernels
+from repro.geometry.bbox import BoundingBox
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
 from repro.index.transition_index import DESTINATION, ORIGIN, TransitionEntry
 from repro.model.dataset import RouteDataset, TransitionDataset
@@ -136,8 +138,11 @@ def _decode_tag_payload(values: List[int], start: int, stop: int) -> TransitionE
             "a TR-tree tag row holds one (transition id, endpoint code) pair, "
             f"got {stop - start} values"
         )
-    # An unknown code maps to None, which TransitionEntry rejects.
-    return TransitionEntry(values[start], _ENDPOINT_LABEL.get(values[start + 1]))
+    label = _ENDPOINT_LABEL.get(values[start + 1])
+    if label is None:
+        raise ValueError(f"unknown endpoint code {values[start + 1]!r}")
+    # The label is checked above, so skip TransitionEntry's own check.
+    return tuple.__new__(TransitionEntry, (values[start], label))
 
 
 _PAYLOAD_CODECS = {
@@ -183,12 +188,13 @@ def decode_tree(columns: TreeColumns) -> RTree:
     The reconstruction is structure-exact: the preorder child counts drive
     the same depth-first, left-to-right build that :func:`walk_nodes`
     enumerates, so node ``i`` of the decoded tree is node ``i`` of the
-    encoded one.  Bounding boxes are recomputed bottom-up from the same
-    coordinates in the same order (bitwise identical); payload unions are
-    left lazy (see :attr:`repro.index.rtree.RTreeNode.payload_union`) so a
-    decode costs no set-building up front.  Each column is turned into a
-    Python list once (:func:`~repro.geometry.kernels.id_list`): indexing a
-    list per entry is several times cheaper than indexing numpy.
+    encoded one.  Bounding boxes and packed child boxes are then installed
+    one level at a time, bottom-up, from the same coordinates (see
+    :func:`_install_level_boxes`); payload unions are left lazy (see
+    :attr:`repro.index.rtree.RTreeNode.payload_union`) so a decode costs no
+    set-building up front.  Each column is turned into a Python list once
+    (:func:`~repro.geometry.kernels.id_list`): indexing a list per entry is
+    several times cheaper than indexing numpy.
     """
     _, decoder = _PAYLOAD_CODECS[columns.payload_kind]
     track_union = (
@@ -205,14 +211,18 @@ def decode_tree(columns: TreeColumns) -> RTree:
     entry_points = kernels.id_list(columns.entry_points)
     payload_offsets = kernels.id_list(columns.payload_offsets)
     payload_values = kernels.id_list(columns.payload_values)
+    levels: List[List[RTreeNode]] = []
     next_node = 0
     next_entry = 0
 
-    def build() -> RTreeNode:
+    def build(depth: int) -> RTreeNode:
         nonlocal next_node, next_entry
         index = next_node
         next_node += 1
         node = RTreeNode(is_leaf=bool(leaf_flags[index]))
+        if depth == len(levels):
+            levels.append([])
+        levels[depth].append(node)
         count = child_counts[index]
         if node.is_leaf:
             first = next_entry
@@ -226,24 +236,58 @@ def decode_tree(columns: TreeColumns) -> RTree:
             ]
         else:
             for _ in range(count):
-                child = build()
+                child = build(depth + 1)
                 child.parent = node
                 node.children.append(child)
-        node.recompute_bbox()
         if track_union:
             node._payload_union = None  # materialised lazily on first read
         return node
 
-    root = build()
+    root = build(0)
     if next_node != columns.node_count or next_entry != columns.entry_count:
         raise ValueError(
             f"tree columns are inconsistent: decoded {next_node} nodes / "
             f"{next_entry} entries, encoded {columns.node_count} / "
             f"{columns.entry_count}"
         )
+    _install_level_boxes(levels, columns.entry_points)
     root.parent = None
     tree.root = root
     return tree
+
+
+def _install_level_boxes(levels: List[List[RTreeNode]], entry_points) -> None:
+    """Give every node its box and packed child boxes, one level at a time.
+
+    ``levels`` holds the nodes by depth, each in preorder, so the children
+    of one level's nodes are consecutive runs of the next level down (and
+    the leaves' entries consecutive runs of ``entry_points``).  Each level
+    is one :func:`~repro.geometry.kernels.group_boxes` call over its
+    children's packed boxes; every node keeps its run as its packed child
+    boxes.  An R-tree keeps all leaves at one depth and no empty node below
+    the root, and columns that break either are rejected.
+    """
+    if len(levels) == 1 and not levels[0][0].children:
+        return  # the empty tree: a childless root leaf, no box
+    child_boxes = kernels.point_boxes(entry_points)
+    for depth in reversed(range(len(levels))):
+        level = levels[depth]
+        counts = [len(node.children) for node in level]
+        if 0 in counts or any(
+            node.is_leaf != (depth == len(levels) - 1) for node in level
+        ):
+            raise ValueError(
+                "tree columns are inconsistent: an empty node, or leaves "
+                "at more than one depth"
+            )
+        starts = list(itertools.accumulate(counts, initial=0))
+        boxes = kernels.group_boxes(child_boxes, starts[:-1])
+        for node, box, start, stop in zip(
+            level, kernels.id_list(boxes), starts, starts[1:]
+        ):
+            node.bbox = BoundingBox(*box)
+            node.packed_boxes = child_boxes[start:stop]
+        child_boxes = boxes
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,11 @@ user-facing ``"auto" | "numpy" | "python"`` choice onto a concrete backend.
 
 from __future__ import annotations
 
+import math
 import os
 from array import array as _stdlib_array
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, List, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the CI matrix
@@ -91,6 +93,13 @@ def resolve_backend(backend: str = BACKEND_AUTO) -> str:
 def pack_points(points: Coords):
     """Pack ``(x, y)`` pairs into an ``(N, 2)`` float64 array (or list)."""
     if numpy_available():
+        if isinstance(points, list) and all(
+            isinstance(p, tuple) and len(p) == 2 for p in points
+        ):
+            # Several times faster than ``asarray`` over (named) tuples.
+            flat = chain.from_iterable(points)
+            count = 2 * len(points)
+            return _np.fromiter(flat, dtype=_np.float64, count=count).reshape(-1, 2)
         arr = _np.asarray(points, dtype=_np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(0, 2) if arr.size == 0 else arr.reshape(1, 2)
@@ -106,6 +115,18 @@ def pack_boxes(boxes: BoxTuples):
             arr = arr.reshape(0, 4) if arr.size == 0 else arr.reshape(1, 4)
         return arr
     return [tuple(float(v) for v in b) for b in boxes]
+
+
+def point_boxes(points):
+    """Degenerate ``(x, y, x, y)`` boxes of packed points, as :func:`pack_boxes`.
+
+    Takes any :func:`pack_points` output (or a float64 column of either
+    backend's making) and returns the current backend's box layout.
+    """
+    if numpy_available():
+        pts = _np.asarray(points, dtype=_np.float64).reshape(-1, 2)
+        return _np.hstack((pts, pts))
+    return [(x, y, x, y) for x, y in id_list(points)]
 
 
 def view_f64(buffer, offset: int, rows: int, cols: int):
@@ -207,6 +228,127 @@ def lex_search_point(points, x: float, y: float) -> int:
     if row < len(points) and tuple(points[row]) == key:
         return row
     return -1
+
+
+# ----------------------------------------------------------------------
+# R-tree bulk loading: Sort-Tile-Recursive order and level boxes
+# ----------------------------------------------------------------------
+def str_order(xs, ys, capacity: int):
+    """Sort-Tile-Recursive order of the items keyed by ``(xs[i], ys[i])``.
+
+    Items are stably sorted by x and cut into vertical slabs of
+    ``ceil(sqrt(ceil(n / capacity))) * capacity`` items; each slab is
+    stably sorted by y (Leutenegger, Lopez & Edgington, ICDE 1997).  A slab
+    holds whole groups, so the STR groups are the consecutive runs of
+    ``capacity`` items of the result.  ``n <= capacity`` keeps the input
+    order (a single group).  Returns the permutation: an index array on
+    the numpy path, a list otherwise.
+    """
+    n = len(xs)
+    if n <= capacity:
+        return _np.arange(n) if numpy_available() else list(range(n))
+    slab_size = math.ceil(math.sqrt(math.ceil(n / capacity))) * capacity
+    if numpy_available():
+        order = _np.argsort(_np.asarray(xs, dtype=_np.float64), kind="stable")
+        y_by_x = _np.asarray(ys, dtype=_np.float64)[order]
+        for start in range(0, n, slab_size):
+            slab = slice(start, start + slab_size)
+            order[slab] = order[slab][_np.argsort(y_by_x[slab], kind="stable")]
+        return order
+    by_x = sorted(range(n), key=xs.__getitem__)
+    order = []
+    for start in range(0, n, slab_size):
+        slab_items = by_x[start : start + slab_size]
+        slab_items.sort(key=ys.__getitem__)
+        order.extend(slab_items)
+    return order
+
+
+def group_boxes(boxes, starts: Sequence[int]):
+    """Bounding box of each run ``boxes[starts[i]:starts[i + 1]]``.
+
+    ``boxes`` is a :func:`pack_boxes` output, ``starts`` the ascending
+    first rows of non-empty runs (the last run ends at ``len(boxes)``).
+    The numpy path is one ``minimum.reduceat`` / ``maximum.reduceat`` pair;
+    the fallback scans each run with ``min``/``max``, which keep the first
+    of equal values like :meth:`~repro.geometry.bbox.BoundingBox.from_points`.
+    The two agree under ``==``; only the sign of a zero bound can differ.
+    """
+    if numpy_available():
+        bxs = _np.asarray(boxes, dtype=_np.float64)
+        idx = _np.asarray(starts, dtype=_np.intp)
+        return _np.hstack(
+            (
+                _np.minimum.reduceat(bxs[:, :2], idx, axis=0),
+                _np.maximum.reduceat(bxs[:, 2:], idx, axis=0),
+            )
+        )
+    out = []
+    for start, stop in zip(starts, [*starts[1:], len(boxes)]):
+        min_xs, min_ys, max_xs, max_ys = zip(*boxes[start:stop])
+        out.append((min(min_xs), min(min_ys), max(max_xs), max(max_ys)))
+    return out
+
+
+def str_levels(points, capacity: int):
+    """The bottom-up STR layout of an R-tree over ``points``.
+
+    Returns one ``(order, child_boxes, node_boxes)`` triple per tree level,
+    leaf level first and the single root last (``[]`` for no points):
+
+    * ``order`` permutes the level's children (entry indices at the leaf
+      level, indices into the level below's nodes above it) by
+      :func:`str_order`, keyed by the points, then by box centres, as a
+      sequence of ints;
+    * ``child_boxes`` packs the children's boxes in that order; node ``g``
+      owns rows ``g * capacity`` up to ``(g + 1) * capacity``;
+    * ``node_boxes`` is each node's box (:func:`group_boxes`) as a
+      ``(min_x, min_y, max_x, max_y)`` sequence of floats.
+
+    The same grouping and boxes as packing the nodes one at a time.
+    """
+    pts = pack_points(points)
+    if len(pts) == 0:
+        return []
+    if numpy_available():
+        xs, ys = pts[:, 0], pts[:, 1]
+    else:
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+    order = str_order(xs, ys, capacity)
+    del xs, ys
+    # Drop each coordinate array as soon as the next one exists, so the
+    # build's peak holds one copy of the points beside the leaf boxes.
+    pts = _take(pts, order)
+    children = point_boxes(pts)
+    del pts
+    levels = []
+    while True:
+        boxes = group_boxes(children, range(0, len(children), capacity))
+        node_boxes = id_list(boxes)
+        if hasattr(order, "ndim"):
+            # Iterates as plain ints without materialising them all.
+            order = memoryview(order)
+        levels.append((order, children, node_boxes))
+        if len(node_boxes) == 1:
+            return levels
+        if numpy_available():
+            # Centres of huge boxes overflow to inf, as Python floats do.
+            with _np.errstate(over="ignore"):
+                xs = (boxes[:, 0] + boxes[:, 2]) / 2.0
+                ys = (boxes[:, 1] + boxes[:, 3]) / 2.0
+        else:
+            xs = [(box[0] + box[2]) / 2.0 for box in boxes]
+            ys = [(box[1] + box[3]) / 2.0 for box in boxes]
+        order = str_order(xs, ys, capacity)
+        children = _take(boxes, order)
+
+
+def _take(rows, order: List[int]):
+    """``rows`` reordered by ``order`` (numpy fancy index or list gather)."""
+    if hasattr(rows, "ndim"):
+        return rows[order]
+    return [rows[i] for i in order]
 
 
 # ----------------------------------------------------------------------

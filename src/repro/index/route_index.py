@@ -70,12 +70,9 @@ class RouteIndex:
                 key = point_key(point)
                 routes_by_point.setdefault(key, set()).add(route.route_id)
                 self.plist.add(point, route.route_id)
-        entries = [
-            RTreeEntry(location, frozenset(route_ids))
-            for location, route_ids in routes_by_point.items()
-        ]
-        return RTree.bulk_load(
-            entries,
+        return RTree.bulk_load_points(
+            list(routes_by_point),
+            [frozenset(route_ids) for route_ids in routes_by_point.values()],
             max_entries=self.max_entries,
             track_payload_union=True,
         )

@@ -5,7 +5,9 @@ TR-tree over transition points).  No external R-tree library is assumed, so
 this module implements the classic structure from scratch:
 
 * STR (Sort-Tile-Recursive) bulk loading for building an index over an
-  existing dataset in one pass,
+  existing dataset, one level at a time: the ordering and every node box
+  come from :func:`repro.geometry.kernels.str_levels`, and each node gets
+  its packed child boxes as a row slice of its level's array,
 * dynamic insertion with least-enlargement subtree choice and quadratic node
   splitting (Guttman's R-tree), so the index supports the paper's dynamic
   transition updates,
@@ -97,10 +99,12 @@ class RTreeNode:
         # pickles defer the frozenset build until someone actually reads it
         # (see the ``payload_union`` property).
         self._payload_union: Optional[FrozenSet[Any]] = frozenset()
-        #: Lazily cached packed array of :meth:`child_box_tuples` (see
-        #: :meth:`packed_child_boxes`).  Derived state: dropped whenever the
-        #: child set changes (every mutation path recomputes the bbox) and
-        #: never pickled.
+        #: Packed array of :meth:`child_box_tuples` (see
+        #: :meth:`packed_child_boxes`).  Installed by bulk load and by the
+        #: columnar decode as a row slice of the level's child-box array;
+        #: dropped whenever the child set changes (every mutation path
+        #: recomputes the bbox) and then rebuilt lazily on the next read.
+        #: Derived state, never pickled.
         self.packed_boxes: Optional[Any] = None
         #: Lazily cached sorted int32 id column of :attr:`payload_union`
         #: (RR-tree nodes only — payloads must be integer route ids; see
@@ -244,10 +248,10 @@ class RTreeNode:
         """:meth:`child_box_tuples` packed for the vectorized kernels, cached.
 
         The batched execution engine scores / filter-tests all children of a
-        node per kernel call; packing the same child boxes on every visit was
-        pure overhead, so the packed array (``kernels.pack_boxes`` output —
-        a numpy array or a plain tuple list, depending on the backend) is
-        cached on the node until its child set changes.
+        node per kernel call, so the packed array (``kernels.pack_boxes``
+        layout — a numpy array or a plain tuple list, depending on the
+        backend) lives on the node.  Bulk load and decode install it; after
+        a mutation drops it, the first read here packs it again.
         """
         cached = self.packed_boxes
         if cached is None:
@@ -353,6 +357,7 @@ class RTree:
 
         STR produces well-filled, square-ish nodes which keeps MinDist bounds
         tight; it is the standard way to build an R-tree over a known dataset.
+        The entries themselves become the leaves, in STR order.
         """
         tree = cls(
             max_entries=max_entries,
@@ -360,49 +365,77 @@ class RTree:
             track_payload_union=track_payload_union,
         )
         entry_list = list(entries)
-        tree._size = len(entry_list)
-        if not entry_list:
-            return tree
-
-        # Pack leaf level.
-        leaves = tree._pack_level_leaf(entry_list)
-        # Pack internal levels until a single root remains.
-        level: List[RTreeNode] = leaves
-        while len(level) > 1:
-            level = tree._pack_level_internal(level)
-        tree.root = level[0]
-        tree.root.parent = None
+        levels = kernels.str_levels(
+            [entry.point for entry in entry_list], tree.max_entries
+        )
+        if levels:
+            tree._assemble(levels, [entry_list[i] for i in levels[0][0]])
         return tree
 
-    def _pack_level_leaf(self, entry_list: List[RTreeEntry]) -> List[RTreeNode]:
-        groups = _str_partition(
-            entry_list, self.max_entries, key=lambda e: e.point
-        )
-        leaves = []
-        for group in groups:
-            node = RTreeNode(is_leaf=True)
-            node.children = list(group)
-            node.recompute_bbox()
-            if self.track_payload_union:
-                node.recompute_payload_union()
-            leaves.append(node)
-        return leaves
+    @classmethod
+    def bulk_load_points(
+        cls,
+        points: Sequence[Sequence[float]],
+        payloads: Sequence[Any],
+        max_entries: int = 16,
+        min_entries: Optional[int] = None,
+        track_payload_union: bool = False,
+    ) -> "RTree":
+        """:meth:`bulk_load` over parallel ``points`` / ``payloads`` columns.
 
-    def _pack_level_internal(self, nodes: List[RTreeNode]) -> List[RTreeNode]:
-        groups = _str_partition(
-            nodes, self.max_entries, key=lambda n: n.bbox.center
+        The leaf entries are created once, already in STR order, with plain
+        ``(x, y)`` float tuples as points.
+        """
+        tree = cls(
+            max_entries=max_entries,
+            min_entries=min_entries,
+            track_payload_union=track_payload_union,
         )
-        parents = []
-        for group in groups:
-            parent = RTreeNode(is_leaf=False)
-            parent.children = list(group)
-            for child in group:
-                child.parent = parent
-            parent.recompute_bbox()
-            if self.track_payload_union:
-                parent.recompute_payload_union()
-            parents.append(parent)
-        return parents
+        levels = kernels.str_levels(points, tree.max_entries)
+        if not levels:
+            return tree
+        new = RTreeEntry.__new__
+        entries = []
+        for index in levels[0][0]:
+            point = points[index]
+            entry = new(RTreeEntry)
+            # float() hands back a float argument itself, so entries share
+            # the caller's coordinate objects instead of copying them.
+            entry.point = (float(point[0]), float(point[1]))
+            entry.payload = payloads[index]
+            entries.append(entry)
+        tree._assemble(levels, entries)
+        return tree
+
+    def _assemble(self, levels, entries: List[RTreeEntry]) -> None:
+        """Install :func:`~repro.geometry.kernels.str_levels` output as nodes.
+
+        ``entries`` are the leaf entries in leaf-level order.  Every node
+        gets its box and its packed child boxes (a row slice of the level's
+        ``child_boxes``) here, so no node is boxed or packed one at a time.
+        """
+        capacity = self.max_entries
+        children: List[Any] = entries
+        is_leaf = True
+        for order, child_boxes, node_boxes in levels:
+            if not is_leaf:
+                children = [children[i] for i in order]
+            nodes = []
+            for start, box in zip(range(0, len(children), capacity), node_boxes):
+                node = RTreeNode(is_leaf=is_leaf)
+                node.children = children[start : start + capacity]
+                if not is_leaf:
+                    for child in node.children:
+                        child.parent = node
+                node.bbox = BoundingBox(*box)
+                node.packed_boxes = child_boxes[start : start + capacity]
+                if self.track_payload_union:
+                    node.recompute_payload_union()
+                nodes.append(node)
+            children = nodes
+            is_leaf = False
+        self.root = children[0]
+        self._size = len(entries)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -740,26 +773,3 @@ def _child_bbox(child: Union[RTreeNode, RTreeEntry]) -> BoundingBox:
     box = child.bbox
     assert box is not None
     return box
-
-
-def _str_partition(items: List[Any], capacity: int, key: Callable[[Any], Tuple[float, float]]) -> List[List[Any]]:
-    """Sort-Tile-Recursive grouping of ``items`` into runs of ``capacity``.
-
-    Items are sorted by x, cut into vertical slices, each slice sorted by y
-    and cut into groups of at most ``capacity`` items.
-    """
-    n = len(items)
-    if n <= capacity:
-        return [list(items)]
-    leaf_count = math.ceil(n / capacity)
-    slice_count = math.ceil(math.sqrt(leaf_count))
-    slice_size = slice_count * capacity
-
-    by_x = sorted(items, key=lambda item: key(item)[0])
-    groups: List[List[Any]] = []
-    for slice_start in range(0, n, slice_size):
-        vertical_slice = by_x[slice_start : slice_start + slice_size]
-        vertical_slice.sort(key=lambda item: key(item)[1])
-        for group_start in range(0, len(vertical_slice), capacity):
-            groups.append(vertical_slice[group_start : group_start + capacity])
-    return groups

@@ -134,10 +134,16 @@ class TransitionIndex:
             listener(delta)
 
     def _build_tree(self) -> RTree:
-        entries: List[RTreeEntry] = []
+        points = []
+        tags = []
+        tag = tuple.__new__  # the endpoint labels are constants: no check
         for transition in self.transitions:
-            entries.extend(_endpoint_entries(transition))
-        return RTree.bulk_load(entries, max_entries=self.max_entries)
+            tid = transition.transition_id
+            points.append(transition.origin)
+            points.append(transition.destination)
+            tags.append(tag(TransitionEntry, (tid, ORIGIN)))
+            tags.append(tag(TransitionEntry, (tid, DESTINATION)))
+        return RTree.bulk_load_points(points, tags, max_entries=self.max_entries)
 
     # ------------------------------------------------------------------
     # Dynamic updates

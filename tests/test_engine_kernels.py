@@ -311,3 +311,21 @@ def test_resolve_backend():
             kernels.resolve_backend("numpy")
     else:
         assert kernels.resolve_backend("numpy") == "numpy"
+
+
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy packing path")
+def test_pack_points_tuple_fast_path_matches_asarray():
+    import numpy
+
+    from repro.geometry.point import Point
+
+    rows = [(1.5, -0.0), Point(2.0, 5e-324), (3, 4)]
+    packed = kernels.pack_points(rows)
+    expected = numpy.asarray([tuple(map(float, row)) for row in rows])
+    assert packed.shape == (3, 2)
+    assert packed.tobytes() == expected.tobytes()
+    assert kernels.pack_points([]).shape == (0, 2)
+    assert kernels.pack_points([1.0, 2.0]).shape == (1, 2)
+    # A row that is not a pair is never flattened into its neighbour.
+    with pytest.raises(ValueError):
+        kernels.pack_points([(1.0, 2.0, 3.0), (4.0,)])

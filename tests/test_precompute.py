@@ -292,6 +292,15 @@ class TestRadiusTable:
             assert python.tags == vectorized.tags
             assert list(python.radii_sq) == vectorized.radii_sq.tolist()
 
+    def test_tags_are_plain_tuples(self, mini_processor):
+        context = mini_processor.engine_context
+        table = context.knn_radii(3)
+        tree_tags = [
+            entry.payload for entry in context.transition_index.tree.entries()
+        ]
+        assert table.tags == tree_tags
+        assert {type(tag) for tag in table.tags} == {tuple}
+
     def test_table_is_reused_until_a_version_changes(self, toy_processor):
         context = toy_processor.engine_context
         table = context.knn_radii(2)
