@@ -124,10 +124,9 @@ def test_batch_throughput(benchmark, la_bundle, bench_scale, write_result):
         rows.append(timing.as_row())
 
     # Filter traversal: block expansion vs node-at-a-time, per method.  The
-    # interleaved legs run on a spatially *clustered* workload (the shape
-    # the locality engine targets) so the traversal comparison covers the
-    # skewed node-access pattern hot-spot traffic produces, not just the
-    # uniform one.
+    # interleaved legs run on a spatially *clustered* workload so the
+    # traversal comparison covers the skewed node-access pattern hot-spot
+    # traffic produces, not just the uniform one.
     traversal_queries = workload.clustered_query_routes(
         query_count,
         DEFAULT_QUERY_LENGTH,

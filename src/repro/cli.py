@@ -529,11 +529,7 @@ def _reuse_stats_line(context) -> str:
     """One-line summary of the context's cross-query reuse counters."""
     return (
         f"subquery cache: {context.subquery_hits} hits, "
-        f"{context.subquery_misses} misses, "
-        f"{context.subquery_patches} patches; "
-        f"locality: {context.locality_clusters} clusters, "
-        f"{context.locality_seeded} seeded, "
-        f"{context.locality_retested} re-tested; "
+        f"{context.subquery_misses} misses; "
         f"shard fallbacks: {context.shard_fallbacks}"
     )
 

@@ -193,13 +193,12 @@ class QueryWorkload:
     ) -> List[List[Tuple[float, float]]]:
         """``count`` query routes grouped into spatial clusters.
 
-        Models the query-locality workloads of Section 7.2: ``clusters``
-        cluster centres are drawn from the existing route points, and each
-        query starts at a Gaussian perturbation (``spread`` map units) of its
+        Models spatially clustered batch workloads: ``clusters`` cluster
+        centres are drawn from the existing route points, and each query
+        starts at a Gaussian perturbation (``spread`` map units) of its
         cluster's centre.  All queries of a cluster share a base heading with
         at most ``heading_jitter_degrees`` of per-query jitter, so routes in
-        a cluster stay close along their whole length — the property the
-        locality engine's δ-margin (a directed Hausdorff bound) exploits.
+        a cluster stay close along their whole length.
         Queries are assigned to clusters round-robin, so any prefix of the
         returned list covers every cluster.
         """

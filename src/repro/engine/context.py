@@ -29,15 +29,8 @@ stop costs one pass over the endpoints (see ``docs/architecture.md``).
 
 All three are invalidated automatically through the indexes' ``version``
 counters, so dynamic route/transition updates keep the context correct
-without manual cache management.  Invalidation is *delta-aware* for
-transition churn: the context subscribes to the transition index's typed
-mutation stream (see :mod:`repro.index.transition_index`), and when only
-transitions changed, memoised single-point answers are **patched** — a
-deleted transition is dropped from every cached answer, an inserted one is
-verified against each cached query point — instead of thrown away.  Only
-route mutations (which change the geometry every cached answer was verified
-against), a gap in the delta stream, or an oversized patch workload fall
-back to the wholesale clear.
+without manual cache management: any update clears the memoised
+single-point answers wholesale.
 
 Contexts are also what the parallel execution layer ships to its worker
 processes (see :mod:`repro.engine.parallel`): pickling a context serialises
@@ -57,13 +50,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.geometry import kernels
 from repro.index.route_index import RouteIndex
-from repro.index.transition_index import (
-    DELTA_DELETE,
-    DESTINATION,
-    ORIGIN,
-    TransitionDelta,
-    TransitionIndex,
-)
+from repro.index.transition_index import TransitionIndex
 
 #: Key of a memoised single-point sub-query:
 #: (point, k, excluded route ids, use_voronoi).
@@ -76,17 +63,6 @@ ConfirmedMap = Dict[int, FrozenSet[str]]
 #: wholesale when it is reached (simple and good enough for workloads whose
 #: distinct query points are far below the cap).
 SUBQUERY_CACHE_LIMIT = 100_000
-
-#: Upper bound on ``pending transition deltas × cached sub-queries`` for
-#: delta patching.  Each pending *insert* costs up to two exact endpoint
-#: verifications per cached answer; past this budget a wholesale clear is
-#: cheaper than patching, so the context falls back to it.
-SUBQUERY_PATCH_BUDGET = 50_000
-
-#: Pending transition deltas retained for cache patching; a longer backlog
-#: than this (an update storm against an idle context) overflows into the
-#: wholesale clear.
-PENDING_DELTA_LIMIT = 1_000
 
 #: Environment knob bounding the number of flattened point rows per route
 #: block of the verification matrix.  Smaller blocks cap the peak size of
@@ -244,33 +220,10 @@ class ExecutionContext:
         #: Cache statistics (useful for benchmark reporting).
         self.subquery_hits = 0
         self.subquery_misses = 0
-        #: Delta-patching statistics: transition deltas folded into the
-        #: cached answers, and wholesale clears that were actually forced.
-        self.subquery_patches = 0
-        self.subquery_clears = 0
-        #: Query-locality engine statistics (see ``engine/locality.py``):
-        #: multi-member clusters executed, neighbour queries seeded from a
-        #: pilot's filter set, and shared candidates re-tested against a
-        #: neighbour's exact predicate.
-        self.locality_clusters = 0
-        self.locality_seeded = 0
-        self.locality_retested = 0
         #: Batches that asked for a per-call worker pool but ran serially
         #: instead — fewer than two usable CPUs, or a batch smaller than
         #: ``RKNNT_MIN_SHARD_BATCH`` (see ``engine/parallel.py``).
         self.shard_fallbacks = 0
-        #: Transition deltas observed since the cache was last validated
-        #: (bounded; overflow falls back to the wholesale clear).
-        self._pending_deltas: List[TransitionDelta] = []
-        self._delta_overflow = False
-        #: The mutation listener is attached lazily, on the first memoised
-        #: sub-query: throwaway contexts (the legacy per-call wrappers
-        #: create one per query over shared indexes) must not accumulate on
-        #: the index's listener list — only a context that actually holds
-        #: patchable state subscribes.  Deltas missed before attachment are
-        #: harmless: the contiguous-version check in
-        #: :meth:`_try_patch_subqueries` detects the gap and clears.
-        self._delta_listener_attached = False
 
     # ------------------------------------------------------------------
     # Route matrix (vectorized verification)
@@ -378,96 +331,12 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Single-point sub-query cache (divide & conquer)
     # ------------------------------------------------------------------
-    def _on_transition_delta(self, delta: TransitionDelta) -> None:
-        """Record one transition mutation for later cache patching."""
-        if self._delta_overflow:
-            return
-        self._pending_deltas.append(delta)
-        if len(self._pending_deltas) > PENDING_DELTA_LIMIT:
-            self._delta_overflow = True
-            self._pending_deltas.clear()
-
     def _validate_subqueries(self) -> None:
         versions = self._current_versions()
         if versions == self._subquery_versions:
             return
-        if not self._try_patch_subqueries(versions):
-            if self._subqueries:
-                self.subquery_clears += 1
-            self._subqueries.clear()
-            self._pending_deltas.clear()
-            self._delta_overflow = False
+        self._subqueries.clear()
         self._subquery_versions = versions
-
-    def _try_patch_subqueries(self, versions: Tuple[int, int]) -> bool:
-        """Fold pending transition deltas into the cached answers.
-
-        Patching is valid only when (a) the route set is untouched — a
-        cached answer's confirmations depend on the routes, so any route
-        mutation invalidates them all — and (b) the pending deltas form the
-        exact contiguous version range between the cached state and now, so
-        nothing was missed.  Each delta is then exact: a delete drops the
-        transition from every answer (other transitions are unaffected),
-        an insert verifies the two new endpoints against every cached query
-        point with the same squared-distance comparisons the engine's
-        verification stage makes.  Oversized patch workloads fall back to
-        the wholesale clear (``SUBQUERY_PATCH_BUDGET``).
-        """
-        old_route, old_transition = self._subquery_versions
-        new_route, new_transition = versions
-        if new_route != old_route or self._delta_overflow or old_transition < 0:
-            return False
-        applicable = [
-            delta
-            for delta in self._pending_deltas
-            if old_transition < delta.version <= new_transition
-        ]
-        if [delta.version for delta in applicable] != list(
-            range(old_transition + 1, new_transition + 1)
-        ):
-            return False
-        if len(applicable) * max(1, len(self._subqueries)) > SUBQUERY_PATCH_BUDGET:
-            return False
-        for delta in applicable:
-            if delta.kind == DELTA_DELETE:
-                for answer in self._subqueries.values():
-                    answer.pop(delta.transition.transition_id, None)
-            else:
-                self._patch_insert(delta.transition)
-            self.subquery_patches += 1
-        self._pending_deltas = [
-            delta
-            for delta in self._pending_deltas
-            if delta.version > new_transition
-        ]
-        return True
-
-    def _patch_insert(self, transition) -> None:
-        """Verify an inserted transition against every cached sub-query."""
-        # Local import: repro.core.knn is import-safe here only after the
-        # package cycle between repro.core and repro.engine is resolved.
-        from repro.core.knn import closer_route_count
-
-        for key, answer in self._subqueries.items():
-            query_point, k, excluded, _ = key
-            labels = set()
-            for label, point in (
-                (ORIGIN, transition.origin),
-                (DESTINATION, transition.destination),
-            ):
-                closer = closer_route_count(
-                    self.route_index,
-                    point,
-                    [query_point],
-                    k,
-                    exclude_route_ids=set(excluded),
-                )
-                if closer < k:
-                    labels.add(label)
-            if labels:
-                answer[transition.transition_id] = frozenset(labels)
-            else:
-                answer.pop(transition.transition_id, None)
 
     def subquery_lookup(self, key: SubqueryKey) -> Optional[ConfirmedMap]:
         """Memoised answer of a single-point sub-query, or ``None``."""
@@ -479,22 +348,8 @@ class ExecutionContext:
             self.subquery_hits += 1
         return answer
 
-    def subquery_cached(self, key: SubqueryKey) -> bool:
-        """Membership peek that does **not** touch the hit/miss counters.
-
-        The query-locality pre-pass (see ``engine/locality.py``) uses this
-        to decide which sub-queries still need resolving; counting those
-        peeks would make the shared-path statistics diverge from the
-        unshared run, breaking the differential counter discipline.
-        """
-        self._validate_subqueries()
-        return key in self._subqueries
-
     def subquery_store(self, key: SubqueryKey, confirmed: ConfirmedMap) -> None:
         """Memoise the answer of a single-point sub-query."""
-        if not self._delta_listener_attached:
-            self.transition_index.add_listener(self._on_transition_delta)
-            self._delta_listener_attached = True
         self._validate_subqueries()
         if len(self._subqueries) >= SUBQUERY_CACHE_LIMIT:
             self._subqueries.clear()
@@ -522,18 +377,7 @@ class ExecutionContext:
         state["_knn_radii_versions"] = (-1, -1)
         state["subquery_hits"] = 0
         state["subquery_misses"] = 0
-        state["subquery_patches"] = 0
-        state["subquery_clears"] = 0
-        state["locality_clusters"] = 0
-        state["locality_seeded"] = 0
-        state["locality_retested"] = 0
         state["shard_fallbacks"] = 0
-        state["_pending_deltas"] = []
-        state["_delta_overflow"] = False
-        # The transition index strips listeners from its own pickle; the
-        # unpickled context re-attaches lazily on its first memoised
-        # sub-query, like a freshly constructed one.
-        state["_delta_listener_attached"] = False
         return state
 
     def reseed_payload_nbytes(self) -> int:
@@ -557,15 +401,8 @@ class ExecutionContext:
         self._subquery_versions = (-1, -1)
         self._knn_radii = {}
         self._knn_radii_versions = (-1, -1)
-        self._pending_deltas = []
-        self._delta_overflow = False
         self.subquery_hits = 0
         self.subquery_misses = 0
-        self.subquery_patches = 0
-        self.subquery_clears = 0
-        self.locality_clusters = 0
-        self.locality_seeded = 0
-        self.locality_retested = 0
         self.shard_fallbacks = 0
 
     #: Counter fields shipped back from shard workers (see
@@ -573,16 +410,11 @@ class ExecutionContext:
     COUNTER_FIELDS = (
         "subquery_hits",
         "subquery_misses",
-        "subquery_patches",
-        "subquery_clears",
-        "locality_clusters",
-        "locality_seeded",
-        "locality_retested",
         "shard_fallbacks",
     )
 
     def counter_snapshot(self) -> Dict[str, int]:
-        """Current values of every reuse/locality counter, by name.
+        """Current values of every reuse counter, by name.
 
         Shard workers snapshot before and after executing their slice and
         ship the difference home, so the parent context's counters reflect

@@ -66,13 +66,7 @@ from repro.core.semantics import FORALL, Semantics
 from repro.core.stats import QueryStatistics
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryExecutor
-from repro.engine.locality import (
-    centroid,
-    dataset_cell_size,
-    default_cell_size,
-    locality_cell_override,
-)
-from repro.engine.plan import LOCALITY_ON, QueryPlan
+from repro.engine.plan import QueryPlan
 from repro.engine.resilience import RkNNTError
 from repro.geometry.bbox import BoundingBox
 from repro.index.transition_index import (
@@ -139,11 +133,6 @@ class DeltaStatistics:
         gap in the delta stream).
     deltas_emitted:
         Non-empty :class:`ResultDelta` events produced.
-    seeded_filter_points:
-        Filter facts inherited from a nearby donor subscription at watch
-        time (the continuous tier of the query-locality engine, see
-        :mod:`repro.engine.locality`); ``0`` unless ``RKNNT_LOCALITY`` was
-        on and a donor was found.
     """
 
     inserts_seen: int = 0
@@ -152,7 +141,6 @@ class DeltaStatistics:
     endpoints_verified: int = 0
     rebuilds: int = 0
     deltas_emitted: int = 0
-    seeded_filter_points: int = 0
 
 
 class Subscription:
@@ -181,14 +169,6 @@ class Subscription:
         Optional ``callback(delta)`` invoked synchronously for every
         non-empty :class:`ResultDelta`; deltas are queued for :meth:`poll`
         either way.
-    seed_filter_points:
-        Filter facts ``((x, y), crossover routes)`` donated by a nearby
-        subscription (the continuous tier of the query-locality engine).
-        They pre-populate each executor's filter set before the *initial*
-        build only — facts are route-derived, so a later route-churn
-        rebuild must not reuse them — letting the RR-tree traversal prune
-        earlier.  Facts are query-independent, so the standing result is
-        identical with or without a seed.
     """
 
     def __init__(
@@ -200,9 +180,6 @@ class Subscription:
         semantics: Semantics,
         exclude_route_ids: Optional[Iterable[int]] = None,
         callback: Optional[Callable[[ResultDelta], None]] = None,
-        seed_filter_points: Optional[
-            List[Tuple[Tuple[float, float], FrozenSet[int]]]
-        ] = None,
     ):
         if k <= 0:
             raise ValueError("k must be positive")
@@ -231,7 +208,6 @@ class Subscription:
         self._result_ids: Set[int] = set()
         self._route_version = -1
         self._transition_version = -1
-        self._seed_filter_points = list(seed_filter_points or ())
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -255,18 +231,10 @@ class Subscription:
                 backend=self.plan.backend,
                 filter_traversal=self.plan.filter_traversal,
             )
-            for point, crossover in self._seed_filter_points:
-                executor.filter_set.add(point, crossover)
             for transition_id, endpoints in executor.run(sub).items():
                 confirmed.setdefault(transition_id, set()).update(endpoints)
             self.query_stats.merge(executor.stats)
             self._executors.append((sub, executor))
-        if self._seed_filter_points:
-            self.delta_stats.seeded_filter_points += len(self._seed_filter_points)
-            # Donated facts are route-derived: valid for this build (the
-            # donor was checked against the current route version), stale
-            # for any later route-churn rebuild.
-            self._seed_filter_points = []
         self._finish_rebuild(confirmed)
 
     def _finish_rebuild(self, confirmed: Dict[int, Set[str]]) -> None:
@@ -586,20 +554,7 @@ class ContinuousRkNNT:
         exclude_route_ids: Optional[Iterable[int]] = None,
         callback: Optional[Callable[[ResultDelta], None]] = None,
     ) -> Subscription:
-        """Register a standing query and return its live subscription.
-
-        With the query-locality engine on (``RKNNT_LOCALITY=1`` or
-        ``plan.locality="on"``), the new standing query *snaps* to the
-        nearest active subscription in its grid cell with the same excluded
-        routes and inherits its retained filter facts as a starting bound —
-        the continuous tier of :mod:`repro.engine.locality`.  The standing
-        result is identical with or without a donor.
-        """
-        seed = None
-        if plan.resolved().locality == LOCALITY_ON:
-            seed = self._donor_filter_points(
-                query_points, frozenset(exclude_route_ids or ())
-            )
+        """Register a standing query and return its live subscription."""
         subscription = Subscription(
             self.context,
             query_points,
@@ -608,65 +563,10 @@ class ContinuousRkNNT:
             Semantics.coerce(semantics),
             exclude_route_ids=exclude_route_ids,
             callback=callback,
-            seed_filter_points=seed,
         )
         self._subscriptions.append(subscription)
         self._attach()
         return subscription
-
-    def _donor_filter_points(
-        self, query_points: QueryPoints, excluded: FrozenSet[int]
-    ) -> Optional[List[Tuple[Tuple[float, float], FrozenSet[int]]]]:
-        """Filter facts of the nearest eligible donor subscription, or None.
-
-        Eligible donors are active, share the exact excluded-route set (a
-        fact's crossover set already had the donor's exclusions subtracted),
-        and are built against the *current* route index version — facts are
-        route-derived, so a stale donor must not seed anyone.  The nearest
-        donor centroid within one cell distance wins.
-        """
-        current_version = self.context.route_index.version
-        donors = [
-            subscription
-            for subscription in self._subscriptions
-            if subscription.active
-            and subscription.excluded == excluded
-            and subscription._route_version == current_version
-        ]
-        if not donors:
-            return None
-        qx, qy = centroid([(float(p[0]), float(p[1])) for p in query_points])
-        cell = locality_cell_override()
-        if cell is None:
-            # A handful of standing queries is a terrible extent estimate
-            # (two neighbours => extent ~ their separation, cell ~ 0), so
-            # prefer the dataset extent from the RR-tree root.
-            cell = dataset_cell_size(self.context)
-        if cell is None:
-            cell = default_cell_size(
-                [centroid(donor.query_points) for donor in donors] + [(qx, qy)]
-            )
-        best: Optional[Subscription] = None
-        best_d = cell * cell
-        for donor in donors:
-            cx, cy = centroid(donor.query_points)
-            dx = cx - qx
-            dy = cy - qy
-            d = dx * dx + dy * dy
-            if d <= best_d and (best is None or d < best_d):
-                best = donor
-                best_d = d
-        if best is None:
-            return None
-        facts: List[Tuple[Tuple[float, float], FrozenSet[int]]] = []
-        seen = set()
-        for _, executor in best._executors:
-            for point, crossover in executor.filter_set.points_by_crossover():
-                key = (point, crossover)
-                if key not in seen:
-                    seen.add(key)
-                    facts.append((point, crossover))
-        return facts or None
 
     def unwatch(self, subscription: Subscription) -> None:
         """Cancel a subscription and stop delivering deltas to it."""

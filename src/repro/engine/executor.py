@@ -709,11 +709,10 @@ def execute(
 ) -> RkNNTResult:
     """Answer one RkNNT query under ``plan`` and wrap it in a result.
 
-    Batch workloads simply call this once per query against a shared
-    context (that is all :meth:`~repro.core.rknnt.RkNNTProcessor
-    .query_batch` does — the processor layer owns per-query concerns such
-    as a Route query excluding itself, so no separate engine-level batch
-    entry point exists).  ``deadline`` is checked between pipeline stages
+    Batch workloads call this once per query against a shared context
+    (see :func:`execute_batch`); the processor layer owns per-query
+    concerns such as a Route query excluding itself.  ``deadline`` is
+    checked between pipeline stages
     and between divide & conquer sub-queries; on expiry the query raises
     :class:`~repro.engine.resilience.DeadlineExceeded` instead of
     returning a partial answer.
@@ -723,3 +722,34 @@ def execute(
         context, query_points, k, plan, exclude_route_ids, deadline=deadline
     )
     return RkNNTResult.from_confirmed(confirmed, semantics, k, stats)
+
+
+def execute_batch(
+    context: ExecutionContext,
+    jobs: Iterable[Tuple[QueryPoints, Optional[Iterable[int]]]],
+    k: int,
+    plan: QueryPlan,
+    semantics: Union[Semantics, str],
+    deadline: Optional[Deadline] = None,
+) -> List[RkNNTResult]:
+    """Answer ``(query points, excluded route ids)`` jobs in order.
+
+    One :func:`execute` call per job against the shared context, with
+    ``deadline`` checked before every job as well as inside it.
+    """
+    results: List[RkNNTResult] = []
+    for points, excluded in jobs:
+        if deadline is not None:
+            deadline.check("query")
+        results.append(
+            execute(
+                context,
+                points,
+                k,
+                plan,
+                semantics,
+                exclude_route_ids=excluded,
+                deadline=deadline,
+            )
+        )
+    return results

@@ -104,8 +104,7 @@ from repro.core.result import RkNNTResult
 from repro.core.semantics import EXISTS, Semantics
 from repro.engine import faults, resilience
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryExecutor
-from repro.engine.locality import cluster_jobs, dataset_cell_size, execute_batch
+from repro.engine.executor import QueryExecutor, execute_batch
 from repro.engine.plan import QueryPlan
 from repro.engine.resilience import (
     Deadline,
@@ -249,14 +248,11 @@ def _fire_task_faults() -> None:
 def _run_shard(task):
     """Answer one shard of a batch workload against the worker's context.
 
-    The payload names each job's *workload index* explicitly (cluster-aware
-    sharding hands out non-contiguous slices), runs the shard through the
-    locality-aware batch loop — which degenerates to the plain per-job
-    ``execute`` loop when the locality engine is off — and ships the
-    worker's reuse/locality counter delta home so the parent context's
-    counters cover the whole batch.
+    Runs the shard through the plain batch loop and ships the worker's
+    counter delta home so the parent context's counters cover the whole
+    batch.
     """
-    indices, (jobs, k, plan, semantics), sync = task
+    base_index, (jobs, k, plan, semantics), sync = task
     context = _worker_context()
     _fire_task_faults()
     _apply_sync(context, sync)
@@ -264,7 +260,7 @@ def _run_shard(task):
     results = execute_batch(context, jobs, k, plan, semantics)
     after = context.counter_snapshot()
     delta = {name: after[name] - before[name] for name in after}
-    return indices, results, delta
+    return base_index, results, delta
 
 
 def standing_parts(context: ExecutionContext, job) -> List[Any]:
@@ -338,26 +334,6 @@ def available_cpu_count() -> int:
 #: ``start_method=`` argument still wins; unknown values are ignored (a
 #: mistyped tuning knob must never change answers or crash a query).
 START_METHOD_ENV = "RKNNT_START_METHOD"
-
-#: ``RKNNT_SHARD_BY=cluster`` assigns whole spatial clusters (the grid
-#: snap of :func:`repro.engine.locality.cluster_jobs`) to the same shard
-#: instead of slicing the workload in input order.  Nearby queries then
-#: run in the same worker — its caches stay hot, and with
-#: ``RKNNT_LOCALITY=1`` the cluster's pilot/neighbour sharing happens
-#: entirely inside one process.  Results are re-scattered to workload
-#: order either way; unknown values fall back to ``index``.
-SHARD_BY_ENV = "RKNNT_SHARD_BY"
-SHARD_BY_INDEX = "index"
-SHARD_BY_CLUSTER = "cluster"
-
-
-def shard_by() -> str:
-    """The configured shard-assignment policy (``index`` unless overridden)."""
-    value = os.environ.get(SHARD_BY_ENV, "").strip().lower()
-    if value == SHARD_BY_CLUSTER:
-        return SHARD_BY_CLUSTER
-    return SHARD_BY_INDEX
-
 
 #: ``RKNNT_MIN_SHARD_BATCH`` — the smallest batch worth spawning a
 #: per-call worker pool for.  ``query_batch(workers=N)`` answers smaller
@@ -715,31 +691,18 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     def _shard_payloads(
         self, jobs: List[ShardJob], k: int, plan: QueryPlan, semantics: Semantics
-    ) -> List[Tuple[Tuple[int, ...], Any]]:
-        """Cut the workload into shard tasks, each naming its job indices.
-
-        The default order is the workload order; ``RKNNT_SHARD_BY=cluster``
-        first reorders the indices cluster-contiguously so each shard holds
-        spatially nearby queries.  Shards carry explicit index tuples (not a
-        base offset) so either order scatters back identically.
-        """
+    ) -> List[Tuple[int, Any]]:
+        """Cut the workload into ``(base_index, payload)`` shard tasks."""
         if self.chunk_size is not None:
             chunk = self.chunk_size
         else:
             # ~4 shards per worker: enough slack that an unlucky shard of
             # expensive queries does not leave the other workers idle.
             chunk = max(1, math.ceil(len(jobs) / (self.workers * 4)))
-        order = list(range(len(jobs)))
-        if shard_by() == SHARD_BY_CLUSTER:
-            cell = dataset_cell_size(self.context)
-            order = [
-                index for cluster in cluster_jobs(jobs, cell) for index in cluster
-            ]
-        payloads: List[Tuple[Tuple[int, ...], Any]] = []
-        for start in range(0, len(order), chunk):
-            indices = tuple(order[start : start + chunk])
+        payloads: List[Tuple[int, Any]] = []
+        for start in range(0, len(jobs), chunk):
             payloads.append(
-                (indices, ([jobs[i] for i in indices], k, plan, semantics))
+                (start, (jobs[start : start + chunk], k, plan, semantics))
             )
         return payloads
 
@@ -901,9 +864,8 @@ class ShardedExecutor:
         # Counter deltas are merged only here, after ``_submit_all`` has
         # fully succeeded — its internal crash retry replays whole
         # workloads, so merging inside the loop could double-count.
-        for indices, shard, delta in shard_results:
-            for index, result in zip(indices, shard):
-                results[index] = result
+        for base_index, shard, delta in shard_results:
+            results[base_index : base_index + len(shard)] = shard
             self.context.merge_counters(delta)
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
@@ -939,9 +901,8 @@ class ShardedExecutor:
     ) -> List[RkNNTResult]:
         """The degraded path: the exact code ``workers=0`` runs, in process.
 
-        Routed through the locality-aware batch loop like the processor's
-        serial path — with ``RKNNT_LOCALITY`` off it degenerates to one
-        ``execute`` call per job, deadline-checked between jobs either way.
+        One ``execute`` call per job, deadline-checked between jobs, like
+        the processor's serial path.
         """
         self.degraded_runs += 1
         return execute_batch(

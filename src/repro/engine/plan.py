@@ -49,43 +49,6 @@ TRAVERSALS = (TRAVERSAL_AUTO, TRAVERSAL_BLOCK, TRAVERSAL_NODE)
 #: escape hatch).
 TRAVERSAL_ENV = "RKNNT_FILTER_TRAVERSAL"
 
-#: Query-locality engine (see ``engine/locality.py``): ``"on"`` clusters a
-#: batch workload spatially, runs one pilot per cluster and seeds the
-#: neighbours from the pilot's retained filter set.  Answers are identical
-#: with the engine on or off; only the work done differs.
-LOCALITY_AUTO = "auto"
-LOCALITY_ON = "on"
-LOCALITY_OFF = "off"
-LOCALITIES = (LOCALITY_AUTO, LOCALITY_ON, LOCALITY_OFF)
-
-#: Set ``RKNNT_LOCALITY=1`` to enable the query-locality engine for batch
-#: and standing workloads whose plan leaves ``locality="auto"``.
-LOCALITY_ENV = "RKNNT_LOCALITY"
-
-
-def default_locality() -> str:
-    """Resolve ``"auto"``: on when ``RKNNT_LOCALITY`` is truthy, else off.
-
-    Invalid values fall back to off — a mistyped tuning knob must never
-    change answers or crash a query.
-    """
-    value = os.environ.get(LOCALITY_ENV, "").strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return LOCALITY_ON
-    return LOCALITY_OFF
-
-
-def resolve_locality(locality: str) -> str:
-    """Validate a locality mode and resolve ``"auto"`` to a concrete one."""
-    if locality not in LOCALITIES:
-        raise ValueError(
-            f"unknown locality mode {locality!r}; expected one of {LOCALITIES}"
-        )
-    if locality == LOCALITY_AUTO:
-        return default_locality()
-    return locality
-
-
 def default_filter_traversal() -> str:
     """Resolve ``"auto"``: the env override when set, else block expansion."""
     value = os.environ.get(TRAVERSAL_ENV, "").strip().lower()
@@ -142,12 +105,6 @@ class QueryPlan:
         loop) or ``"auto"`` (the ``RKNNT_FILTER_TRAVERSAL`` env override,
         defaulting to block expansion).  Answers and traversal statistics
         are identical either way.
-    locality:
-        Query-locality engine (``engine/locality.py``): ``"on"`` shares
-        pilot filter sets across spatially clustered batch queries,
-        ``"off"`` runs every query independently, ``"auto"`` follows the
-        ``RKNNT_LOCALITY`` environment knob (default off).  Answers are
-        identical either way.
     """
 
     method: str
@@ -156,7 +113,6 @@ class QueryPlan:
     backend: str = BACKEND_AUTO
     share_subquery_cache: bool = False
     filter_traversal: str = TRAVERSAL_AUTO
-    locality: str = LOCALITY_AUTO
 
     @classmethod
     def for_method(
@@ -184,5 +140,4 @@ class QueryPlan:
             self,
             backend=resolve_backend(self.backend),
             filter_traversal=resolve_traversal(self.filter_traversal),
-            locality=resolve_locality(self.locality),
         )

@@ -15,7 +15,6 @@ the query, so the query cannot be its nearest route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -130,96 +129,3 @@ def filtering_space_contains_bbox(
         if not bisector_halfplane(q, filter_point).contains_bbox(box):
             return False
     return True
-
-
-# ----------------------------------------------------------------------
-# Translated half-spaces (the query-locality engine's reuse bound)
-# ----------------------------------------------------------------------
-def margin_dominates_bbox(
-    box: BoundingBox,
-    filter_point: Sequence[float],
-    query_points: Sequence[Sequence[float]],
-    delta: float,
-) -> bool:
-    """δ-margin filtering-space test: ``box ⊂ H_{r:Q′}`` for every query
-    ``Q′`` within directed Hausdorff distance ``delta`` of ``Q``.
-
-    The exact condition ``dist(p, r) < dist(p, q′)`` cannot be tested
-    without knowing ``q′``; the triangle inequality gives the sufficient
-    (conservative) bound
-
-        MaxDist(box, r) + δ  <  min over q ∈ Q of MinDist(box, q)
-
-    since ``dist(p, q′) ≥ dist(p, q) − |q q′| ≥ MinDist(box, q) − δ`` for
-    the pilot point ``q`` nearest ``q′``.  Note the *linearly shifted*
-    bisector half-plane is **not** a sound translation — the true margin
-    region ``{p : dist(p, q) − dist(p, r) > δ}`` is bounded by a hyperbola
-    strictly inside the shifted half-plane — which is why this predicate
-    compares square roots instead of shifting ``c``.  Exact for degenerate
-    (point) boxes; conservative otherwise, which is the safe direction.
-    """
-    return delta < margin_slack_bbox(box, filter_point, query_points)
-
-
-def margin_slack_bbox(
-    box: BoundingBox,
-    filter_point: Sequence[float],
-    query_points: Sequence[Sequence[float]],
-) -> float:
-    """The largest δ below which :func:`margin_dominates_bbox` holds.
-
-        slack  =  (min over q ∈ Q of MinDist(box, q))  −  MaxDist(box, r)
-
-    so ``margin_dominates_bbox(box, r, Q, δ) ⇔ δ < slack``.  The locality
-    engine stores each shared candidate's slack once (computed during the
-    pilot's margin traversal) and lets every cluster member prune it by
-    comparing its *own* — usually much smaller — Hausdorff distance against
-    it, instead of re-running an exact filter test per member.  Negative
-    slack means not even the exact (δ = 0) conservative bound prunes the
-    box.  Both backends evaluate the identical IEEE expression, so the
-    shared/unshared differential discipline extends to slack comparisons.
-    """
-    rx, ry = float(filter_point[0]), float(filter_point[1])
-    fx = max(abs(rx - box.min_x), abs(rx - box.max_x))
-    fy = max(abs(ry - box.min_y), abs(ry - box.max_y))
-    max_dist = math.sqrt(fx * fx + fy * fy)
-    best = float("inf")
-    for q in query_points:
-        qx, qy = float(q[0]), float(q[1])
-        dx = (
-            box.min_x - qx
-            if qx < box.min_x
-            else (qx - box.max_x if qx > box.max_x else 0.0)
-        )
-        dy = (
-            box.min_y - qy
-            if qy < box.min_y
-            else (qy - box.max_y if qy > box.max_y else 0.0)
-        )
-        d = dx * dx + dy * dy
-        if d < best:
-            best = d
-    return math.sqrt(best) - max_dist
-
-
-def margin_dominates_point(
-    point: Sequence[float],
-    filter_point: Sequence[float],
-    query_points: Sequence[Sequence[float]],
-    delta: float,
-) -> bool:
-    """Point version of :func:`margin_dominates_bbox`.
-
-    True when ``point`` is provably closer to ``filter_point`` than to every
-    point of *any* query within directed Hausdorff distance ``delta`` of
-    ``query_points`` — i.e. ``dist(p, r) + δ < min_q dist(p, q)``.  The
-    property test in ``tests/test_filtering_properties.py`` asserts the
-    soundness of this bound against the exact predicate at the translated
-    query.
-    """
-    return margin_dominates_bbox(
-        BoundingBox(point[0], point[1], point[0], point[1]),
-        filter_point,
-        query_points,
-        delta,
-    )

@@ -622,59 +622,6 @@ def points_in_filtering_space(points, filter_point, query):
     return out
 
 
-def boxes_margin_slack(boxes, filter_points, query):
-    """``(B, F)`` δ-margin slack matrix for the query-locality engine.
-
-    Entry ``[b, f]`` is
-
-        MinDist(box b, query)  −  MaxDist(box b, filter point f)
-
-    — the largest δ below which the margin predicate prunes box ``b`` with
-    filter point ``f`` (distances, not squared distances — the margin is
-    additive, so this is the one place the engine takes square roots;
-    ``sqrt`` is correctly rounded by IEEE 754, keeping the backends bitwise
-    identical).  This is the block version of
-    :func:`repro.geometry.halfspace.margin_slack_bbox`: ``slack > delta``
-    proves box ``b`` lies inside the filtering space ``H_{f:Q′}`` of *every*
-    query ``Q′`` within directed Hausdorff distance ``delta`` of ``query``.
-    """
-    if numpy_available():
-        bxs = _np.asarray(boxes, dtype=_np.float64)
-        flt = _np.asarray(filter_points, dtype=_np.float64)
-        qry = _np.asarray(query, dtype=_np.float64)
-        if len(bxs) == 0 or len(flt) == 0:
-            return _np.zeros((len(bxs), len(flt)), dtype=_np.float64)
-        rx = flt[:, 0][None, :]
-        ry = flt[:, 1][None, :]
-        fx = _np.maximum(
-            _np.abs(rx - bxs[:, 0][:, None]), _np.abs(rx - bxs[:, 2][:, None])
-        )
-        fy = _np.maximum(
-            _np.abs(ry - bxs[:, 1][:, None]), _np.abs(ry - bxs[:, 3][:, None])
-        )
-        max_dist = _np.sqrt(fx * fx + fy * fy)
-        qx = qry[:, 0][None, :]
-        qy = qry[:, 1][None, :]
-        dx = _np.maximum(bxs[:, 0][:, None] - qx, 0.0) + _np.maximum(
-            qx - bxs[:, 2][:, None], 0.0
-        )
-        dy = _np.maximum(bxs[:, 1][:, None] - qy, 0.0) + _np.maximum(
-            qy - bxs[:, 3][:, None], 0.0
-        )
-        min_dist = _np.sqrt((dx * dx + dy * dy).min(axis=1))
-        return min_dist[:, None] - max_dist
-    from repro.geometry.bbox import BoundingBox
-    from repro.geometry.halfspace import margin_slack_bbox
-
-    table = []
-    for min_x, min_y, max_x, max_y in boxes:
-        box = BoundingBox(min_x, min_y, max_x, max_y)
-        table.append(
-            [margin_slack_bbox(box, r, query) for r in filter_points]
-        )
-    return table
-
-
 # ----------------------------------------------------------------------
 # Point–polyline (point-to-route) distances for verification
 # ----------------------------------------------------------------------

@@ -71,3 +71,29 @@ def test_check_env_knobs_flags_a_stale_table_row(tmp_path):
     assert checker.check_env_knobs(failures, str(api), str(src)) == 1
     assert len(failures) == 1
     assert "`RKNNT_GONE`" in failures[0] and "nothing under src/" in failures[0]
+
+
+def test_check_env_knobs_enforces_the_knob_ceiling(tmp_path):
+    checker = load_checker()
+    assert checker.MAX_ENV_KNOBS == 14
+    src = tmp_path / "src"
+    src.mkdir()
+    api = tmp_path / "api.md"
+    names = [f"RKNNT_KNOB_{index}" for index in range(15)]
+
+    def check(knobs):
+        (src / "knobs.py").write_text(
+            "".join(f'ENV_{i} = "{name}"\n' for i, name in enumerate(knobs)),
+            encoding="utf-8",
+        )
+        api.write_text(
+            "".join(f"| `{name}` | unset | Read by the code. |\n" for name in knobs),
+            encoding="utf-8",
+        )
+        failures = []
+        return checker.check_env_knobs(failures, str(api), str(src)), failures
+
+    assert check(names[:14]) == (14, [])
+    count, failures = check(names)
+    assert count == 15
+    assert len(failures) == 1 and "ceiling of 14" in failures[0]

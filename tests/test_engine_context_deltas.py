@@ -1,27 +1,27 @@
-"""Delta-aware sub-query cache patching in the execution context.
+"""Warm execution-context caches never outlive the data they answered.
 
-Before this layer existed, ANY transition mutation cleared the whole
-memoised single-point answer cache.  Now the context records the typed
-mutation stream and patches cached answers in place; these tests pin down
+The divide & conquer sub-query memo is cleared wholesale whenever either
+index's version moves.  These tests pin down
 
-* that transition-only churn preserves the cache (hits keep landing) and
-  the patched answers stay equal to the brute-force oracle;
-* that route mutations, stream overflow and oversized patch workloads
-  still fall back to the wholesale clear; and
-* that pickled contexts ship no pending deltas and re-attach their
-  listener on arrival.
+* that a warm memo is dropped after transition churn and after a route
+  mutation, and the answers stay equal to the brute-force oracle; and
+* that an interleaved churn script keeps every method exact against the
+  oracle, serially and through fork and spawn worker pools whose caches
+  were warmed once and never cleared.
 """
 
 from __future__ import annotations
 
-import pickle
+import multiprocessing
 import random
 
 import pytest
 
-import repro.engine.context as context_module
 from repro.core.baseline import rknnt_bruteforce
-from repro.core.rknnt import DIVIDE_CONQUER, RkNNTProcessor
+from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
+from repro.data.workloads import QueryWorkload, make_city
+from repro.engine.parallel import ShardedExecutor
+from repro.engine.plan import QueryPlan
 from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
@@ -88,21 +88,19 @@ def mutate_transitions(processor, inserts=6, deletes=6, seed=9):
         processor.remove_transition(victim)
 
 
-class TestPatching:
-    def test_transition_churn_patches_instead_of_clearing(self, world, queries):
+class TestMemoInvalidation:
+    def test_transition_churn_clears_and_stays_exact(self, world, queries):
         routes, transitions = world
         processor = RkNNTProcessor(routes, transitions)
         context = warm_cache(processor, queries)
-        cached = len(context._subqueries)
-        assert cached > 0
+        assert len(context._subqueries) > 0
 
         mutate_transitions(processor)
         hits_before = context.subquery_hits
         results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
 
-        assert context.subquery_patches == 12  # 6 inserts + 6 deletes folded
-        assert context.subquery_clears == 0
-        assert context.subquery_hits - hits_before == cached
+        # Every query point is distinct, so a cleared memo gives no hits.
+        assert context.subquery_hits == hits_before
         for query, result in zip(queries, results):
             oracle = rknnt_bruteforce(routes, transitions, query, K)
             assert result.transition_ids == oracle.transition_ids
@@ -113,104 +111,107 @@ class TestPatching:
         processor = RkNNTProcessor(routes, transitions)
         context = warm_cache(processor, queries)
         processor.add_route(Route(routes.next_id(), [(3.0, 3.0), (6.0, 6.0)]))
+        hits_before = context.subquery_hits
         results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
-        assert context.subquery_clears == 1
+        assert context.subquery_hits == hits_before
         for query, result in zip(queries, results):
             oracle = rknnt_bruteforce(routes, transitions, query, K)
             assert result.transition_ids == oracle.transition_ids
 
-    def test_pending_overflow_falls_back_to_clear(
-        self, world, queries, monkeypatch
-    ):
-        monkeypatch.setattr(context_module, "PENDING_DELTA_LIMIT", 4)
+    def test_interleaved_churn_rounds_stay_exact(self, world, queries):
+        # Several churn → query rounds against one warm memo.
         routes, transitions = world
         processor = RkNNTProcessor(routes, transitions)
-        context = warm_cache(processor, queries)
-        mutate_transitions(processor)  # 12 deltas > patched limit of 4
-        results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
-        assert context.subquery_patches == 0
-        assert context.subquery_clears == 1
-        for query, result in zip(queries, results):
-            oracle = rknnt_bruteforce(routes, transitions, query, K)
-            assert result.transition_ids == oracle.transition_ids
-
-    def test_patch_budget_falls_back_to_clear(self, world, queries, monkeypatch):
-        monkeypatch.setattr(context_module, "SUBQUERY_PATCH_BUDGET", 1)
-        routes, transitions = world
-        processor = RkNNTProcessor(routes, transitions)
-        context = warm_cache(processor, queries)
-        mutate_transitions(processor, inserts=2, deletes=2)
-        results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
-        assert context.subquery_patches == 0
-        assert context.subquery_clears == 1
-        for query, result in zip(queries, results):
-            oracle = rknnt_bruteforce(routes, transitions, query, K)
-            assert result.transition_ids == oracle.transition_ids
-
-    def test_interleaved_patch_rounds_stay_exact(self, world, queries):
-        # Several patch → query → patch rounds: versions advance in steps
-        # and each round's pending deltas must cover exactly its gap.
-        routes, transitions = world
-        processor = RkNNTProcessor(routes, transitions)
-        context = warm_cache(processor, queries)
+        warm_cache(processor, queries)
         for round_seed in range(3):
             mutate_transitions(processor, inserts=3, deletes=3, seed=round_seed)
             results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
             for query, result in zip(queries, results):
                 oracle = rknnt_bruteforce(routes, transitions, query, K)
                 assert result.confirmed_endpoints == oracle.confirmed_endpoints
-        assert context.subquery_clears == 0
-        assert context.subquery_patches == 18
 
 
-class TestPickling:
-    def test_pickle_strips_pending_and_listener_reattaches_lazily(
-        self, world, queries
-    ):
-        routes, transitions = world
-        processor = RkNNTProcessor(routes, transitions)
-        context = warm_cache(processor, queries)
-        mutate_transitions(processor, inserts=2, deletes=0)
-        assert context._pending_deltas
+class TestInvalidationUnderChurn:
+    """An interleaved churn script — transition inserts, deletes, a route
+    added and removed — runs against a processor whose shared caches were
+    warmed once and never cleared: after every mutation the batch answers
+    must match the brute-force oracle recomputed from the mutated datasets,
+    serially and through fork and spawn worker pools (which see the churn
+    as delta syncs and route-churn reseeds)."""
 
-        clone = pickle.loads(pickle.dumps(context))
-        assert clone._pending_deltas == []
-        assert clone._subqueries == {}
-        assert clone.subquery_patches == 0
-        # The clone's index carries no listeners at all yet: the parent's
-        # were stripped by the index pickle and the clone attaches lazily.
-        assert clone.transition_index._listeners == []
+    K = 2
 
-        # First memoised sub-query attaches the clone's own listener, and
-        # the clone records deltas for its own mutations from then on.
-        clone_queries = queries[:1]
-        from repro.engine.executor import execute
-        from repro.engine.plan import QueryPlan
-
-        plan = QueryPlan.for_method(
-            DIVIDE_CONQUER, share_subquery_cache=True
-        ).resolved()
-        execute(clone, clone_queries[0], K, plan, "exists")
-        assert len(clone._subqueries) > 0
-        assert len(clone.transition_index._listeners) == 1
-        clone.transition_index.add_transition(
-            Transition(990_000, (5.0, 5.0), (6.0, 6.0))
+    def _queries(self, city):
+        workload = QueryWorkload(city, seed=17)
+        return workload.clustered_query_routes(
+            6, length=3, interval=0.7, clusters=2
         )
-        assert len(clone._pending_deltas) == 1
 
-    def test_throwaway_contexts_do_not_leak_listeners(self, world):
-        # The legacy per-call wrappers build one ExecutionContext per query
-        # over shared indexes; without memoised sub-queries they must never
-        # register on the index's listener list.
-        from repro.core.divide_conquer import rknnt_divide_conquer
-        from repro.index.route_index import RouteIndex
-        from repro.index.transition_index import TransitionIndex
+    def _run_script(self, processor, check):
+        """Mutate, then verify, six times: insert/insert/delete transitions
+        interleaved with a route appearing and disappearing."""
+        first = processor.transitions.next_id()
+        processor.add_transition(Transition(first, (2.1, 2.1), (2.4, 2.6)))
+        check("insert first transition")
+        second = processor.transitions.next_id()
+        processor.add_transition(Transition(second, (3.1, 2.2), (2.6, 2.9)))
+        check("insert second transition")
+        processor.remove_transition(first)
+        check("delete first transition")
+        route = Route(
+            processor.routes.next_id(),
+            [(2.2, 2.1), (2.6, 2.4), (3.0, 2.8)],
+        )
+        processor.add_route(route)
+        check("add route")
+        processor.remove_route(route.route_id)
+        check("remove route")
+        processor.remove_transition(second)
+        check("delete second transition")
 
-        routes, transitions = world
-        route_index = RouteIndex(routes)
-        transition_index = TransitionIndex(transitions)
-        for _ in range(5):
-            rknnt_divide_conquer(
-                route_index, transition_index, [(2.0, 2.0)], K
+    def _assert_matches_oracle(self, processor, queries, results, label):
+        for index, (result, query) in enumerate(zip(results, queries)):
+            oracle = rknnt_bruteforce(
+                processor.routes, processor.transitions, query, self.K
             )
-        assert transition_index._listeners == []
+            assert result.confirmed_endpoints == oracle.confirmed_endpoints, (
+                f"{label}: stale answer at query {index}"
+            )
+            assert result.transition_ids == oracle.transition_ids, (
+                f"{label}: stale transitions at query {index}"
+            )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_serial_answers_track_churn(self, method):
+        city, transitions = make_city("mini")
+        processor = RkNNTProcessor(city.routes, transitions)
+        queries = self._queries(city)
+        # Warm every shared cache once; from here on each mutation must
+        # invalidate on its own — the caches are never cleared again.
+        processor.query_batch(queries, self.K, method=method)
+
+        def check(label):
+            results = processor.query_batch(queries, self.K, method=method)
+            self._assert_matches_oracle(processor, queries, results, label)
+
+        self._run_script(processor, check)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_answers_track_churn(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        city, transitions = make_city("mini")
+        processor = RkNNTProcessor(city.routes, transitions)
+        queries = self._queries(city)
+        jobs = [(tuple(map(tuple, q)), frozenset()) for q in queries]
+        plan = QueryPlan.for_method("voronoi", share_subquery_cache=True)
+        with ShardedExecutor(
+            processor.engine_context, workers=2, start_method=start_method
+        ) as pool:
+            pool.run(jobs, self.K, plan)  # warm the workers' caches
+
+            def check(label):
+                results = pool.run(jobs, self.K, plan)
+                self._assert_matches_oracle(processor, queries, results, label)
+
+            self._run_script(processor, check)

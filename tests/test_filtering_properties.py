@@ -170,63 +170,3 @@ def test_dynamic_insertions_preserve_exactness(scenario, seed):
     oracle = rknnt_bruteforce(routes, transitions, query, k)
     result = processor.query(query, k, method="voronoi")
     assert result.transition_ids == oracle.transition_ids
-
-
-# ----------------------------------------------------------------------
-# The locality engine's δ-margin translation bound
-# ----------------------------------------------------------------------
-@st.composite
-def margin_scenario(draw):
-    """A pilot query, an arbitrary neighbour query, a filter point, a probe.
-
-    The neighbour is *not* constrained to be near the pilot: the margin
-    bound must hold for any Q′ once δ is the directed Hausdorff distance
-    from Q′ to the pilot, so drawing Q′ freely tests the bound over the
-    whole δ range instead of just small perturbations.
-    """
-    pilot = draw(st.lists(point, min_size=1, max_size=4))
-    neighbour = draw(st.lists(point, min_size=1, max_size=4))
-    filter_point = draw(point)
-    probe = draw(point)
-    return pilot, neighbour, filter_point, probe
-
-
-@settings(max_examples=200, deadline=None)
-@given(scenario=margin_scenario())
-def test_margin_domination_is_safe_for_translated_queries(scenario):
-    """Safety of filter-set reuse: a probe dominated under the pilot's
-    δ-margin test lies inside the *exact* filtering space of every query
-    within directed Hausdorff distance δ of the pilot — the margin never
-    prunes a point the neighbour's own filter would keep."""
-    from repro.engine.locality import _directed_hausdorff, _inflate_delta
-    from repro.geometry.halfspace import (
-        filtering_space_contains_point,
-        margin_dominates_point,
-    )
-
-    pilot, neighbour, filter_point, probe = scenario
-    delta = _inflate_delta(_directed_hausdorff(neighbour, pilot))
-    if margin_dominates_point(probe, filter_point, pilot, delta):
-        assert filtering_space_contains_point(probe, filter_point, neighbour)
-
-
-@settings(max_examples=200, deadline=None)
-@given(scenario=margin_scenario(), corner=point)
-def test_margin_domination_is_safe_for_whole_boxes(scenario, corner):
-    """Box version of the translation bound, as used on TR-tree nodes."""
-    from repro.engine.locality import _directed_hausdorff, _inflate_delta
-    from repro.geometry.halfspace import (
-        filtering_space_contains_bbox,
-        margin_dominates_bbox,
-    )
-
-    pilot, neighbour, filter_point, probe = scenario
-    box = BoundingBox(
-        min(probe[0], corner[0]),
-        min(probe[1], corner[1]),
-        max(probe[0], corner[0]),
-        max(probe[1], corner[1]),
-    )
-    delta = _inflate_delta(_directed_hausdorff(neighbour, pilot))
-    if margin_dominates_bbox(box, filter_point, pilot, delta):
-        assert filtering_space_contains_bbox(box, filter_point, neighbour)

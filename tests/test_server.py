@@ -288,9 +288,6 @@ class TestServerBasics:
                     for counter in (
                         "subquery_hits",
                         "subquery_misses",
-                        "locality_clusters",
-                        "locality_seeded",
-                        "locality_retested",
                         "shard_fallbacks",
                     ):
                         assert stats[counter] >= 0

@@ -122,3 +122,44 @@ class TestPlanningQueries:
         queries = workload.planning_queries(4, 5.0, tolerance=0.5)
         assert len(queries) == 4
         assert all(start != end for start, end in queries)
+
+
+class TestWorkloadGenerator:
+    """``clustered_query_routes``: the clustered batch workload the batch
+    throughput benchmark runs its traversal comparison on."""
+
+    def test_clustered_routes_are_deterministic(self, mini_city):
+        first = QueryWorkload(mini_city, seed=5).clustered_query_routes(
+            8, length=3, interval=0.6
+        )
+        second = QueryWorkload(mini_city, seed=5).clustered_query_routes(
+            8, length=3, interval=0.6
+        )
+        assert first == second
+        different = QueryWorkload(mini_city, seed=6).clustered_query_routes(
+            8, length=3, interval=0.6
+        )
+        assert first != different
+
+    def test_clustered_routes_shape_and_interval(self, mini_city):
+        routes = QueryWorkload(mini_city, seed=5).clustered_query_routes(
+            6, length=4, interval=0.6, clusters=2
+        )
+        assert len(routes) == 6
+        for route in routes:
+            assert len(route) == 4
+            for (x0, y0), (x1, y1) in zip(route, route[1:]):
+                step = math.hypot(x1 - x0, y1 - y0)
+                assert step == pytest.approx(0.6)
+
+    def test_round_robin_covers_every_cluster(self, mini_city):
+        workload = QueryWorkload(mini_city, seed=5)
+        routes = workload.clustered_query_routes(
+            9, length=2, interval=0.5, clusters=3, spread=0.05
+        )
+        # Queries i, i+3, i+6 share a cluster centre; any prefix of
+        # length >= clusters touches all three centres.
+        for offset in range(3):
+            group = [routes[offset], routes[offset + 3], routes[offset + 6]]
+            xs = [r[0][0] for r in group]
+            assert max(xs) - min(xs) < 1.0

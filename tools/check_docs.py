@@ -24,7 +24,8 @@ Checks, per markdown file:
    ``docs/api.md`` environment table, and every ``| `RKNNT_*` |`` row of
    that table must name a variable something under ``src/`` reads.  A new
    knob cannot ship undocumented, and a renamed or deleted one cannot
-   leave its stale row behind.
+   leave its stale row behind.  ``src/`` may read at most
+   ``MAX_ENV_KNOBS`` of them, so a new knob has to retire another first.
 
 Exit status 0 when everything passes; 1 otherwise, with one line per
 failure.  The tier-1 suite runs this via ``tests/test_docs.py`` and CI has
@@ -47,6 +48,10 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_KNOB_RE = re.compile(r"\bRKNNT_[A-Z0-9_]+\b")
 ENV_ROW_RE = re.compile(r"^\|\s*`(RKNNT_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+
+#: Ceiling on the ``RKNNT_*`` knobs ``src/`` may read.  Lower it when a knob
+#: goes; never raise it.
+MAX_ENV_KNOBS = 14
 
 
 def doc_files() -> List[str]:
@@ -178,6 +183,11 @@ def check_env_knobs(
         failures.append(
             f"docs/api.md: environment table row `{knob}` names a knob "
             f"nothing under src/ reads"
+        )
+    if len(knobs) > MAX_ENV_KNOBS:
+        failures.append(
+            f"src/: {len(knobs)} environment knobs exceed the ceiling of "
+            f"{MAX_ENV_KNOBS}; retire one before adding another"
         )
     return len(knobs)
 
