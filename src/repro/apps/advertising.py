@@ -16,8 +16,8 @@ This module implements that pipeline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set
 
 from repro.core.rknnt import RkNNTProcessor, VORONOI
 from repro.core.semantics import EXISTS, Semantics

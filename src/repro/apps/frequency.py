@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.rknnt import RkNNTProcessor, VORONOI
 from repro.model.dataset import RouteDataset, TransitionDataset

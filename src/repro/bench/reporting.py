@@ -13,7 +13,7 @@ import math
 import os
 import subprocess
 import tempfile
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 def git_commit(cwd: Optional[str] = None) -> str:

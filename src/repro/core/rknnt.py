@@ -430,8 +430,9 @@ class RkNNTProcessor:
         * the vectorized geometry kernels (``backend="auto"`` selects numpy
           when available) testing whole R-tree child/entry blocks per call,
         * the flattened route matrix shared by every verification stage,
-        * memoised single-point sub-queries, which divide & conquer
-          workloads with overlapping query routes hit constantly, and
+        * memoised single-point sub-queries (divide & conquer only; they
+          hit only when query routes share a point, 1 lookup in 160 on a
+          traced ``analytics-batch`` run), and
         * with ``workers >= 1``, sharding across a process pool (the
           :class:`~repro.engine.parallel.ShardedExecutor`), which sidesteps
           the GIL entirely — one private execution context per worker,

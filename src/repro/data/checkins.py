@@ -19,7 +19,7 @@ synthetic sets (the paper's NYC-Synthetic has 10M transitions).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.model.dataset import (
     TransitionDataset,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.dataset import RouteDataset
 from repro.model.route import Route
 from repro.planning.graph import BusNetwork
-from repro.planning.shortest_path import dijkstra, shortest_path
+from repro.planning.shortest_path import shortest_path
 
 
 @dataclass

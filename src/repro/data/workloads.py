@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.data.checkins import TransitionGenerator
 from repro.data.synthetic import CityGenerator, SyntheticCity
 from repro.geometry.point import euclidean
-from repro.model.dataset import RouteDataset, TransitionDataset
+from repro.model.dataset import TransitionDataset
 
 
 @dataclass(frozen=True)

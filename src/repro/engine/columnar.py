@@ -47,6 +47,7 @@ an index built from the datasets — the differential tests in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -124,30 +125,49 @@ def _encode_route_payload(payload: Iterable[Any]) -> List[int]:
     return sorted(int(route_id) for route_id in payload)
 
 
-def _decode_route_payload(values: List[int], start: int, stop: int) -> Any:
-    return frozenset(values[start:stop])
+def _decode_route_payloads(offsets: List[int], values: List[int]) -> List[Any]:
+    return [
+        frozenset(values[start:stop]) for start, stop in zip(offsets, offsets[1:])
+    ]
 
 
 def _encode_tag_payload(tag: TransitionEntry) -> List[int]:
     return [int(tag.transition_id), _ENDPOINT_CODE[tag.endpoint]]
 
 
-def _decode_tag_payload(values: List[int], start: int, stop: int) -> TransitionEntry:
-    if stop - start != 2:
+def _decode_tag_payloads(offsets: List[int], values: List[int]) -> List[Any]:
+    """Every row's tag, with all rows validated before the first is built.
+
+    Each row holds exactly one ``(transition id, endpoint code)`` pair, so
+    the only valid offset table is ``0, 2, 4, ...`` over ``2 × rows``
+    values; one list comparison checks that, and only a failing table is
+    scanned for its first bad row.
+    """
+    rows = len(offsets) - 1
+    if offsets != list(range(0, 2 * rows + 1, 2)) or len(values) != 2 * rows:
+        for start, stop in zip(offsets, offsets[1:]):
+            if stop - start != 2:
+                raise ValueError(
+                    "a TR-tree tag row holds one (transition id, endpoint code) "
+                    f"pair, got {stop - start} values"
+                )
         raise ValueError(
-            "a TR-tree tag row holds one (transition id, endpoint code) pair, "
-            f"got {stop - start} values"
+            f"tree columns are inconsistent: {rows} tag rows over "
+            f"{len(values)} values"
         )
-    label = _ENDPOINT_LABEL.get(values[start + 1])
-    if label is None:
-        raise ValueError(f"unknown endpoint code {values[start + 1]!r}")
-    # The label is checked above, so skip TransitionEntry's own check.
-    return tuple.__new__(TransitionEntry, (values[start], label))
+    codes = values[1::2]
+    unknown = set(codes).difference(_ENDPOINT_LABEL)
+    if unknown:
+        code = next(code for code in codes if code in unknown)
+        raise ValueError(f"unknown endpoint code {code!r}")
+    # The labels are checked above, so skip TransitionEntry's own check.
+    tag = functools.partial(tuple.__new__, TransitionEntry)
+    return list(map(tag, zip(values[0::2], map(_ENDPOINT_LABEL.__getitem__, codes))))
 
 
 _PAYLOAD_CODECS = {
-    PAYLOAD_ROUTE: (_encode_route_payload, _decode_route_payload),
-    PAYLOAD_TAG: (_encode_tag_payload, _decode_tag_payload),
+    PAYLOAD_ROUTE: (_encode_route_payload, _decode_route_payloads),
+    PAYLOAD_TAG: (_encode_tag_payload, _decode_tag_payloads),
 }
 
 
@@ -194,7 +214,9 @@ def decode_tree(columns: TreeColumns) -> RTree:
     :attr:`repro.index.rtree.RTreeNode.payload_union`) so a decode costs no
     set-building up front.  Each column is turned into a Python list once
     (:func:`~repro.geometry.kernels.id_list`): indexing a list per entry is
-    several times cheaper than indexing numpy.
+    several times cheaper than indexing numpy.  Every leaf entry is made
+    once, in preorder, before the walk (the payloads one column at a time),
+    and each leaf takes its run of them as a slice.
     """
     _, decoder = _PAYLOAD_CODECS[columns.payload_kind]
     track_union = (
@@ -208,9 +230,23 @@ def decode_tree(columns: TreeColumns) -> RTree:
     tree._size = columns.size
     child_counts = kernels.id_list(columns.child_counts)
     leaf_flags = kernels.id_list(columns.leaf_flags)
-    entry_points = kernels.id_list(columns.entry_points)
-    payload_offsets = kernels.id_list(columns.payload_offsets)
-    payload_values = kernels.id_list(columns.payload_values)
+    points = kernels.id_list(columns.entry_points)
+    payloads = decoder(
+        kernels.id_list(columns.payload_offsets),
+        kernels.id_list(columns.payload_values),
+    )
+    if len(points) != len(payloads):
+        raise ValueError(
+            f"tree columns are inconsistent: {len(points)} entry points, "
+            f"{len(payloads)} payload rows"
+        )
+    new = RTreeEntry.__new__
+    entries: List[RTreeEntry] = []
+    for point, payload in zip(points, payloads):
+        entry = new(RTreeEntry)
+        entry.point = tuple(point)  # float64 rows: already (x, y) floats
+        entry.payload = payload
+        entries.append(entry)
     levels: List[List[RTreeNode]] = []
     next_node = 0
     next_entry = 0
@@ -225,15 +261,8 @@ def decode_tree(columns: TreeColumns) -> RTree:
         levels[depth].append(node)
         count = child_counts[index]
         if node.is_leaf:
-            first = next_entry
+            node.children = entries[next_entry : next_entry + count]
             next_entry += count
-            node.children = [
-                RTreeEntry(
-                    entry_points[i],
-                    decoder(payload_values, payload_offsets[i], payload_offsets[i + 1]),
-                )
-                for i in range(first, next_entry)
-            ]
         else:
             for _ in range(count):
                 child = build(depth + 1)

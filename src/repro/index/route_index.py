@@ -6,7 +6,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.geometry.bbox import BoundingBox
 from repro.index.inverted import PointList, point_key
-from repro.index.rtree import RTree, RTreeEntry, RTreeNode
+from repro.index.rtree import RTree, RTreeEntry, RTreeNode, paused_gc
 from repro.model.dataset import RouteDataset
 from repro.model.route import Route
 
@@ -39,6 +39,7 @@ class RouteIndex:
         mutating the underlying dataset.
     """
 
+    @paused_gc
     def __init__(
         self,
         routes: RouteDataset,
@@ -144,6 +145,7 @@ class RouteIndex:
         return columns
 
     @classmethod
+    @paused_gc
     def from_columns(cls, columns) -> "RouteIndex":
         """Rebuild an index from packed columns (no STR re-packing).
 
@@ -193,6 +195,7 @@ class RouteIndex:
                 return self.__dict__[name]
         raise AttributeError(name)
 
+    @paused_gc
     def _materialise_columns(self) -> None:
         from repro.engine.columnar import decode_routes, decode_tree, install_nlist
 

@@ -15,7 +15,9 @@ this module implements the classic structure from scratch:
 * best-first (MinDist ordered) traversal, the primitive behind the
   ``FilterRoute`` and ``PruneTransition`` algorithms,
 * optional maintenance of the union of entry payload sets per node, which the
-  route index uses as the paper's ``NList``.
+  route index uses as the paper's ``NList``,
+* :func:`paused_gc`, which the two index wrappers hold around every bulk
+  build and columnar decode.
 
 Only point data is stored (every leaf entry is a degenerate rectangle), which
 matches how the paper indexes routes and transitions.
@@ -23,6 +25,8 @@ matches how the paper indexes routes and transitions.
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import itertools
 import math
@@ -37,13 +41,15 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
+    cast,
 )
 
 from repro.geometry import kernels
 from repro.geometry.bbox import BoundingBox
 
-__all__ = ["RTree", "RTreeNode", "RTreeEntry"]
+__all__ = ["RTree", "RTreeNode", "RTreeEntry", "paused_gc"]
 
 
 class RTreeEntry:
@@ -279,6 +285,35 @@ class RTreeNode:
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "internal"
         return f"RTreeNode({kind}, children={len(self.children)})"
+
+
+_Func = TypeVar("_Func", bound=Callable[..., Any])
+
+
+def paused_gc(func: _Func) -> _Func:
+    """Run ``func`` with the cyclic garbage collector paused.
+
+    Collections fire on container-allocation counts, so building tens of
+    thousands of entries, tags and nodes sets off a collection every few
+    hundred allocations, each one scanning the growing tree, and none of
+    those containers is garbage yet.  The index wrappers put this on every
+    bulk build and columnar decode.  When the caller has already disabled
+    the collector it does nothing (and leaves it disabled), so pauses nest.
+    The count of objects allocated during the pause carries over: the first
+    container allocated after it sets off one generation-0 pass.
+    """
+
+    @functools.wraps(func)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return cast(_Func, paused)
 
 
 class RTree:

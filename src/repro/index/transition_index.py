@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from repro.geometry.bbox import BoundingBox
-from repro.index.rtree import RTree, RTreeEntry, RTreeNode
+from repro.index.rtree import RTree, RTreeEntry, RTreeNode, paused_gc
 from repro.model.dataset import TransitionDataset
 from repro.model.transition import Transition
 
@@ -90,6 +90,7 @@ class TransitionIndex:
     added as new passenger requests arrive and removed once they expire.
     """
 
+    @paused_gc
     def __init__(self, transitions: TransitionDataset, max_entries: int = 16):
         self.transitions = transitions
         self.max_entries = max_entries
@@ -201,6 +202,7 @@ class TransitionIndex:
         return columns
 
     @classmethod
+    @paused_gc
     def from_columns(cls, columns) -> "TransitionIndex":
         """Rebuild an index from packed columns (structure-exact decode)."""
         from repro.engine.columnar import decode_transitions, decode_tree
@@ -243,6 +245,7 @@ class TransitionIndex:
                 return self.__dict__[name]
         raise AttributeError(name)
 
+    @paused_gc
     def _materialise_columns(self) -> None:
         from repro.engine.columnar import decode_transitions, decode_tree
 

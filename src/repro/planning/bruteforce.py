@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.rknnt import RkNNTProcessor, VORONOI
 from repro.planning.graph import BusNetwork
 from repro.planning.maxrknnt import (
     MAXIMIZE,
-    MINIMIZE,
     OBJECTIVES,
     PlannedRoute,
     PlanningStatistics,

@@ -28,7 +28,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.planning.graph import BusNetwork
 from repro.planning.precompute import EndpointTag, VertexRkNNTIndex

@@ -19,7 +19,6 @@ MaxRkNNT needs three ingredients from classical graph search:
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple

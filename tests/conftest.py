@@ -15,6 +15,7 @@ examples a stale ``.hypothesis/`` directory replays.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -126,3 +127,33 @@ def mini_workload(mini_city_bundle):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240614)
+
+
+@pytest.fixture
+def collections_during():
+    """``collections_during(call)`` returns ``(call(), n)``, where ``n``
+    counts the cyclic-GC collections that started inside the call.
+
+    Generation 0 is emptied first, so a collection in the window can only
+    come from the call's own allocations.  The window closes as the call
+    returns: the one generation-0 pass a pause defers (see
+    :func:`repro.index.rtree.paused_gc`) falls on the caller's next
+    allocation, after it.
+    """
+    started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info)
+
+    def run(call):
+        gc.collect()
+        started.clear()
+        gc.callbacks.append(on_gc)
+        try:
+            result = call()
+        finally:
+            gc.callbacks.remove(on_gc)
+        return result, len(started)
+
+    return run

@@ -1,13 +1,9 @@
 """Tests for the benchmark support package (parameters, harness, reporting)."""
 
-import os
-
 import pytest
 
 from repro.bench.harness import (
     METHOD_LABELS,
-    MethodTiming,
-    SweepResult,
     build_benchmark_city,
     sweep_parameter,
     time_rknnt_methods,

@@ -1,6 +1,5 @@
 """Tests for the transition (check-in) generator."""
 
-import math
 import statistics
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.data.checkins import TransitionGenerator
 from repro.data.synthetic import CityGenerator
 from repro.model.dataset import RouteDataset
-from repro.model.route import Route
 
 
 @pytest.fixture(scope="module")

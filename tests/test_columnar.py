@@ -15,6 +15,7 @@ The contract of :mod:`repro.engine.columnar`:
   materialises a private copy without changing answers.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -25,6 +26,8 @@ from repro.engine.executor import execute, run_stages
 from repro.engine.plan import QueryPlan
 from repro.geometry.kernels import numpy_available
 from repro.index.route_index import RouteIndex
+from repro.index.rtree import RTreeEntry
+from repro.index.transition_index import DESTINATION, ORIGIN, TransitionEntry
 from repro.model.route import Route
 from repro.model.transition import Transition
 
@@ -140,6 +143,65 @@ class TestNListColumns:
             assert set(before) <= set(after)
         finally:
             processor.remove_route(route_id)
+
+
+class TestOnePassDecode:
+    """``decode_tree`` makes every leaf entry and tag once, up front."""
+
+    def test_transition_leaves_hold_plain_points_and_tags(self, fresh_processor):
+        decoded = columnar.decode_tree(
+            columnar.encode_tree(
+                fresh_processor.transition_index.tree, columnar.PAYLOAD_TAG
+            )
+        )
+        entries = list(decoded.entries())
+        assert len(entries) == len(decoded) > 0
+        for entry in entries:
+            assert type(entry) is RTreeEntry
+            assert type(entry.point) is tuple
+            assert [type(value) for value in entry.point] == [float, float]
+            tag = entry.payload
+            assert type(tag) is TransitionEntry
+            assert type(tag.transition_id) is int
+            assert tag.endpoint in (ORIGIN, DESTINATION)
+
+    @pytest.mark.parametrize(
+        "index_name, kind",
+        [
+            ("route_index", columnar.PAYLOAD_ROUTE),
+            ("transition_index", columnar.PAYLOAD_TAG),
+        ],
+    )
+    def test_re_encoding_a_decode_reproduces_every_column(
+        self, fresh_processor, index_name, kind
+    ):
+        tree = getattr(fresh_processor, index_name).tree
+        columns = columnar.encode_tree(tree, kind)
+        again = columnar.encode_tree(columnar.decode_tree(columns), kind)
+        for field in dataclasses.fields(columnar.TreeColumns):
+            # Pickled bytes compare float bits, dtypes and shapes too.
+            assert pickle.dumps(getattr(again, field.name)) == pickle.dumps(
+                getattr(columns, field.name)
+            ), field.name
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the store maps columns with numpy")
+def test_store_materialise_sets_off_no_collection(
+    fresh_processor, tmp_path, collections_during
+):
+    from repro.engine import store
+
+    path = str(tmp_path / "mini.store")
+    store.save_indexes(
+        path, fresh_processor.route_index, fresh_processor.transition_index
+    )
+    booted = RkNNTProcessor.from_store(path)
+    for name in ("route_index", "transition_index"):
+        index = getattr(booted, name)
+        assert "tree" not in index.__dict__
+        tree, collections = collections_during(lambda: index.tree)
+        assert collections == 0, name
+        assert len(tree) == len(getattr(fresh_processor, name).tree)
 
 
 class TestPListColumns:

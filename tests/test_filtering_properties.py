@@ -9,7 +9,6 @@ of the end-to-end equivalence tests in test_rknnt_correctness.py.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

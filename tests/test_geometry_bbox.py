@@ -1,7 +1,5 @@
 """Unit tests for repro.geometry.bbox."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

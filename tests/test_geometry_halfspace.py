@@ -1,6 +1,5 @@
 """Unit and property tests for the half-plane pruning predicates."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

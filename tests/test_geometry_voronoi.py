@@ -1,12 +1,11 @@
 """Tests for the Voronoi (per-route) filtering predicate (Section 5.1)."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.halfspace import filtering_space_contains_bbox
-from repro.geometry.point import euclidean, point_to_points_distance
+from repro.geometry.point import point_to_points_distance
 from repro.geometry.voronoi import voronoi_prunes_bbox, voronoi_prunes_point
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)

@@ -1,12 +1,8 @@
 """Tests for the PList / NList inverted indexes."""
 
-import pytest
-
 from repro.index.inverted import NodeList, PointList, point_key
 from repro.index.rtree import RTree, RTreeEntry
 from repro.index.route_index import RouteIndex
-from repro.model.dataset import RouteDataset
-from repro.model.route import Route
 
 
 class TestPointKey:

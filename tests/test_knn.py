@@ -1,7 +1,5 @@
 """Tests for the point → k-nearest-routes primitives."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

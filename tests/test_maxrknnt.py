@@ -1,19 +1,15 @@
 """Tests for MaxRkNNT / MinRkNNT planning (Algorithm 6 and the baselines)."""
 
-import math
-
 import pytest
 
 from repro.core.rknnt import RkNNTProcessor
 from repro.planning.bruteforce import maxrknnt_bruteforce, maxrknnt_pre
-from repro.planning.graph import BusNetwork
 from repro.planning.maxrknnt import (
     DOMINANCE_LEMMA4,
     DOMINANCE_SUBSET,
     MAXIMIZE,
     MINIMIZE,
     MaxRkNNTPlanner,
-    PlannedRoute,
 )
 from repro.planning.precompute import VertexRkNNTIndex
 from repro.planning.shortest_path import enumerate_paths_within_distance

@@ -1,7 +1,5 @@
 """Tests for the Transition model."""
 
-import math
-
 import pytest
 
 from repro.geometry.bbox import BoundingBox

@@ -20,8 +20,6 @@ from repro.core.rknnt import (
     rknnt_query,
 )
 from repro.model.dataset import RouteDataset, TransitionDataset
-from repro.model.route import Route
-from repro.model.transition import Transition
 
 coord = st.floats(min_value=-2, max_value=12, allow_nan=False, allow_infinity=False)
 query_strategy = st.lists(st.tuples(coord, coord), min_size=1, max_size=6)

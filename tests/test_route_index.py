@@ -1,6 +1,7 @@
 """Tests for the RR-tree wrapper (RouteIndex)."""
 
-import pytest
+import gc
+import pickle
 
 from repro.index.route_index import RouteIndex
 from repro.model.dataset import RouteDataset
@@ -93,3 +94,49 @@ class TestQueriesAfterUpdates:
         after = k_nearest_routes(index, far_point, 1)
         assert after[0][1] == 20
         assert after[0][0] < before[0][0]
+
+
+def _grid_routes(count: int = 30, length: int = 40) -> RouteDataset:
+    """``count`` parallel routes of ``length`` stops, each crossing the
+    next at one shared stop: a few thousand containers to build, enough to
+    set off several generation-0 collections when the collector runs."""
+    return RouteDataset(
+        Route(
+            route_id,
+            [(float(route_id), float(step)) for step in range(length - 1)]
+            + [(float(route_id + 1), 0.0)],
+        )
+        for route_id in range(count)
+    )
+
+
+class TestPausedCollector:
+    """Builds and decodes run with the cyclic collector paused."""
+
+    def test_build_sets_off_no_collection(self, collections_during):
+        routes = _grid_routes()
+        index, collections = collections_during(lambda: RouteIndex(routes))
+        assert collections == 0
+        assert index.crossover_routes((1.0, 0.0)) == {0, 1}
+        assert index.crossover_routes((30.0, 0.0)) == {29}
+
+    def test_unpickle_decode_sets_off_no_collection(self, collections_during):
+        # As for the TR-tree: the window covers ``__setstate__``, the step
+        # an unpickle runs once the columns are loaded.
+        index = RouteIndex(_grid_routes())
+        state = pickle.loads(pickle.dumps(index.__getstate__()))
+        clone = RouteIndex.__new__(RouteIndex)
+        _, collections = collections_during(lambda: clone.__setstate__(state))
+        assert collections == 0
+        assert clone.distinct_point_count() == index.distinct_point_count()
+        assert clone.routes_in_node(clone.root) == index.routes_in_node(index.root)
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self):
+        routes = _grid_routes()
+        gc.disable()
+        try:
+            clone = pickle.loads(pickle.dumps(RouteIndex(routes)))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert clone.distinct_point_count() == len(routes) * 39 + 1

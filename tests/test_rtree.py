@@ -1,6 +1,5 @@
 """Unit tests for the R-tree substrate (bulk load, insert, delete, queries)."""
 
-import math
 import pickle
 import random
 

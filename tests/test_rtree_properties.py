@@ -1,7 +1,5 @@
 """Property-based tests of the R-tree against brute-force reference answers."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -25,7 +25,6 @@ import json
 import os
 import random
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -40,7 +39,6 @@ from repro.engine.protocol import ProtocolError
 from repro.engine.server import (
     DEFAULT_MAX_BATCH,
     DEFAULT_WINDOW_MS,
-    RkNNTServer,
     ServerThread,
     server_max_batch,
     server_window_ms,

@@ -1,10 +1,8 @@
 """Tests for the synthetic city generator."""
 
-import math
-
 import pytest
 
-from repro.data.synthetic import CityGenerator, SyntheticCity
+from repro.data.synthetic import CityGenerator
 from repro.planning.shortest_path import dijkstra
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+import dataclasses
+import gc
 import pickle
 import random
 
@@ -265,6 +267,9 @@ class TestOneTagPerLeaf:
             # allowed.
             ([0, 4], [7, 0, 8, 1], "one"),
             ([0, 2], [7, 2], "endpoint"),
+            # A value the offsets do not cover, and no row for the point.
+            ([0, 2], [7, 0, 8], "inconsistent"),
+            ([0], [], "inconsistent"),
         ],
     )
     def test_decoder_rejects_a_bad_tag_row(self, offsets, values, message):
@@ -282,3 +287,56 @@ class TestOneTagPerLeaf:
         )
         with pytest.raises(ValueError, match=message):
             columnar.decode_tree(bad)
+
+
+class TestPausedCollector:
+    """Builds and decodes run with the cyclic collector paused."""
+
+    def test_build_sets_off_no_collection(self, collections_during):
+        transitions = _fresh_mini_transitions()
+        index, collections = collections_during(lambda: TransitionIndex(transitions))
+        assert collections == 0
+        _assert_one_tag_per_leaf(index)
+
+    def test_unpickle_decode_sets_off_no_collection(self, collections_during):
+        # Loading the columns is outside the pause (on the pure-python
+        # backend they are lists of tuples), so the window covers the step
+        # an unpickle runs once they are loaded.
+        index = TransitionIndex(_fresh_mini_transitions())
+        state = pickle.loads(pickle.dumps(index.__getstate__()))
+        clone = TransitionIndex.__new__(TransitionIndex)
+        _, collections = collections_during(lambda: clone.__setstate__(state))
+        assert collections == 0
+        _assert_one_tag_per_leaf(clone)
+
+    def test_collector_is_back_on_after_a_rejected_decode(self):
+        columns = TransitionIndex(_fresh_mini_transitions()).to_columns()
+        bad = dataclasses.replace(
+            columns,
+            tree=dataclasses.replace(
+                columns.tree,
+                size=1,
+                child_counts=[1],
+                leaf_flags=[1],
+                entry_points=[(1.0, 2.0)],
+                payload_offsets=[0, 3],
+                payload_values=[7, 0, 1],
+            ),
+        )
+        try:
+            with pytest.raises(ValueError, match="got 3 values"):
+                TransitionIndex.from_columns(bad)
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self):
+        transitions = _fresh_mini_transitions()
+        gc.disable()
+        try:
+            index = TransitionIndex(transitions)
+            clone = pickle.loads(pickle.dumps(index))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        _assert_one_tag_per_leaf(clone)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.data.workloads import CITY_PRESETS, QueryWorkload, make_city
-from repro.geometry.point import euclidean, path_length
+from repro.geometry.point import euclidean
 
 
 class TestPresets:
