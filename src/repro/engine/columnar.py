@@ -286,19 +286,23 @@ def decode_tree(columns: TreeColumns) -> RTree:
 
 
 def _install_level_boxes(levels: List[List[RTreeNode]], entry_points) -> None:
-    """Give every node its box and packed child boxes, one level at a time.
+    """Give every node its box (and, on numpy, its packed child boxes), one
+    level at a time.
 
     ``levels`` holds the nodes by depth, each in preorder, so the children
     of one level's nodes are consecutive runs of the next level down (and
     the leaves' entries consecutive runs of ``entry_points``).  Each level
     is one :func:`~repro.geometry.kernels.group_boxes` call over its
-    children's packed boxes; every node keeps its run as its packed child
-    boxes.  An R-tree keeps all leaves at one depth and no empty node below
-    the root, and columns that break either are rejected.
+    children's packed boxes.  On the numpy backend every node keeps its run
+    as its packed child boxes; off numpy nothing reads them (the scalar
+    executor uses ``child_box_tuples()``).  An R-tree keeps all leaves at
+    one depth and no empty node below the root, and columns that break
+    either are rejected.
     """
     if len(levels) == 1 and not levels[0][0].children:
         return  # the empty tree: a childless root leaf, no box
     child_boxes = kernels.point_boxes(entry_points)
+    install_packed = kernels.numpy_available()
     for depth in reversed(range(len(levels))):
         level = levels[depth]
         counts = [len(node.children) for node in level]
@@ -315,7 +319,8 @@ def _install_level_boxes(levels: List[List[RTreeNode]], entry_points) -> None:
             level, kernels.id_list(boxes), starts, starts[1:]
         ):
             node.bbox = BoundingBox(*box)
-            node.packed_boxes = child_boxes[start:stop]
+            if install_packed:
+                node.packed_boxes = child_boxes[start:stop]
         child_boxes = boxes
 
 

@@ -725,3 +725,67 @@ def kth_route_distance_sq(points, route_blocks, k: int):
     for start, stop, distances in _route_distance_chunks(pts, route_blocks):
         radii[start:stop] = _np.partition(distances, k - 1, axis=1)[:, k - 1]
     return radii
+
+
+# ----------------------------------------------------------------------
+# All-sources shortest distances (the planning matrix M_ψ)
+# ----------------------------------------------------------------------
+#: Sources relaxed together by :func:`multi_source_distances`; its
+#: temporaries hold O(block × edges) elements whatever the source count.
+SHORTEST_PATH_BLOCK = 64
+
+
+def multi_source_distances(adjacency, sources) -> List[_stdlib_array]:
+    """Shortest distances from each of ``sources`` to every vertex.
+
+    ``adjacency[u]`` lists ``(v, weight)`` pairs over vertex columns
+    ``0 .. len(adjacency) - 1`` and ``sources`` holds columns; row ``i`` of
+    the result is an ``array('d')`` of the distances from ``sources[i]``
+    (``inf`` when unreachable).  A label-correcting (Bellman–Ford) pass over
+    ``SHORTEST_PATH_BLOCK`` sources at a time: each round expands only the
+    ``(source, vertex)`` labels the previous round improved, along a CSR
+    copy of the adjacency, keeps the strict improvements with
+    ``np.minimum.at`` and stops when none is left.  For ``weight >= 0``,
+    ``x ↦ fl(x + weight)`` is monotone and never below ``x``, so this and
+    Dijkstra reach the same least fixed point — the minimum over paths of
+    the left-to-right float sum — and every entry equals Dijkstra's
+    bitwise.
+    """
+    assert numpy_available(), "multi_source_distances requires the numpy backend"
+    vertex_count = len(adjacency)
+    degrees = _np.fromiter(map(len, adjacency), dtype=_np.intp, count=vertex_count)
+    indptr = _np.zeros(vertex_count + 1, dtype=_np.intp)
+    _np.cumsum(degrees, out=indptr[1:])
+    edges = list(chain.from_iterable(adjacency))
+    heads = _np.fromiter((v for v, _ in edges), dtype=_np.intp, count=len(edges))
+    weights = _np.fromiter((w for _, w in edges), dtype=_np.float64, count=len(edges))
+    rows: List[_stdlib_array] = []
+    for start in range(0, len(sources), SHORTEST_PATH_BLOCK):
+        block = _np.asarray(sources[start : start + SHORTEST_PATH_BLOCK], dtype=_np.intp)
+        # One flat label per (source, vertex) cell: row r starts at r * V.
+        labels = _np.full(len(block) * vertex_count, _np.inf)
+        frontier = _np.arange(len(block)) * vertex_count + block
+        labels[frontier] = 0.0
+        improved = _np.zeros(len(labels), dtype=bool)
+        while len(frontier):
+            vertex = frontier % vertex_count
+            counts = degrees[vertex]
+            # Edge id of every expansion: cell i's run of the flat expansion
+            # starts at run_ends[i] - counts[i] and maps onto its vertex's
+            # CSR run, which starts at indptr[vertex[i]].
+            run_ends = _np.cumsum(counts)
+            edge = _np.repeat(indptr[vertex] - run_ends + counts, counts)
+            edge += _np.arange(len(edge))
+            cells = _np.repeat(frontier - vertex, counts) + heads[edge]
+            candidates = _np.repeat(labels[frontier], counts) + weights[edge]
+            better = candidates < labels[cells]
+            cells = cells[better]
+            _np.minimum.at(labels, cells, candidates[better])
+            # The next frontier, deduplicated through a reused mask: several
+            # times faster than np.unique, which hashes in numpy 2.
+            improved[cells] = True
+            frontier = _np.flatnonzero(improved)
+            improved[frontier] = False
+        for row in labels.reshape(len(block), vertex_count):
+            rows.append(_stdlib_array("d", row.tobytes()))
+    return rows

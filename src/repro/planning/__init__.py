@@ -5,8 +5,10 @@ This sub-package provides:
 * :class:`repro.planning.graph.BusNetwork` — the weighted graph ``G`` built
   from a set of bus routes (vertices are stops, edges connect consecutive
   stops, weights are Euclidean distances);
-* shortest-path machinery (Dijkstra, all-pairs matrices, Yen's k shortest
-  loopless paths) in :mod:`repro.planning.shortest_path`;
+* shortest-path machinery (Dijkstra, the all-pairs matrix ``M_ψ`` — one
+  vectorised label-correcting pass over all sources on numpy, one Dijkstra
+  per source otherwise — and Yen's k shortest loopless paths) in
+  :mod:`repro.planning.shortest_path`;
 * per-vertex RkNNT pre-computation (:mod:`repro.planning.precompute`,
   Algorithm 5);
 * the MaxRkNNT / MinRkNNT planners: the brute-force and Pre baselines in

@@ -53,7 +53,9 @@ class BusNetwork:
             raise KeyError(f"both endpoints must be vertices: {u}, {v}")
         if weight is None:
             weight = euclidean(self._positions[u], self._positions[v])
-        if weight < 0:
+        # ``not >=`` also rejects NaN, which no later parallel edge could
+        # replace (``weight < nan`` is False).
+        if not weight >= 0:
             raise ValueError("edge weights must be non-negative")
         current = self._adjacency[u].get(v)
         if current is None or weight < current:

@@ -106,7 +106,9 @@ class VertexRkNNTIndex:
             Restrict the per-vertex RkNNT queries to a subset (all vertices
             by default); ``M_ψ`` always covers the whole network.
         backend:
-            Geometry-kernel backend for the sweep (``"auto"`` by default).
+            Kernel backend (``"auto"`` by default) for the sweep and for
+            ``M_ψ`` (:func:`~repro.planning.shortest_path.shortest_distance_rows`);
+            both backends give bitwise-equal answers.
         """
         vertex_list = (
             list(vertices) if vertices is not None else list(self.network.vertices())
@@ -119,7 +121,9 @@ class VertexRkNNTIndex:
         self.report.rknnt_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        self._column_of, self._shortest_rows = shortest_distance_rows(self.network)
+        self._column_of, self._shortest_rows = shortest_distance_rows(
+            self.network, backend=backend
+        )
         self.report.shortest_path_seconds = time.perf_counter() - started
         self.report.vertices = len(vertex_list)
         return self.report

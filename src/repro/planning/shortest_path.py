@@ -6,10 +6,12 @@ MaxRkNNT needs three ingredients from classical graph search:
   seed path of Yen's algorithm;
 * all-pairs shortest distances (:func:`shortest_distance_rows`, with
   :func:`all_pairs_shortest_distances` as its dict view) — the matrix
-  ``M_ψ`` of Algorithm 5 used by the ``checkReachability`` pruning; a
-  textbook Floyd–Warshall (:func:`floyd_warshall`) is provided as the
-  paper's reference algorithm, with repeated Dijkstra as the default because
-  bus networks are sparse;
+  ``M_ψ`` of Algorithm 5 used by the ``checkReachability`` pruning.  The
+  numpy backend relaxes all sources at once in one label-correcting pass
+  (:func:`repro.geometry.kernels.multi_source_distances`); the python
+  backend, the readable reference, runs one Dijkstra per source.  Both are
+  bitwise equal to :func:`dijkstra`.  A textbook Floyd–Warshall
+  (:func:`floyd_warshall`) is provided as the paper's reference algorithm;
 * loopless path enumeration — Yen's k shortest paths
   (:func:`yen_k_shortest_paths`) and the threshold-bounded variant
   (:func:`enumerate_paths_within_distance`) that the brute-force MaxRkNNT
@@ -23,6 +25,7 @@ import math
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.geometry import kernels
 from repro.planning.graph import BusNetwork
 
 Path = Tuple[int, ...]
@@ -106,25 +109,43 @@ def shortest_path(
 
 
 def shortest_distance_rows(
-    network: BusNetwork, sources: Optional[Sequence[int]] = None
+    network: BusNetwork,
+    sources: Optional[Sequence[int]] = None,
+    backend: str = kernels.BACKEND_AUTO,
 ) -> Tuple[Dict[int, int], List[array]]:
     """All-pairs shortest distances ``M_ψ`` (Algorithm 5) as compact rows.
 
     Returns ``(column_of, rows)``: ``column_of`` maps every vertex to its
     column, and ``rows[i]`` is an ``array('d')`` of the shortest distances
-    from ``sources[i]`` to every vertex (``inf`` when unreachable).  Runs
-    one Dijkstra per source over an index-based adjacency list, which is
-    the right complexity class for sparse bus networks.  It adds the same
-    ``distance + weight`` floats in a valid Dijkstra order, so every entry
+    from ``sources[i]`` to every vertex (``inf`` when unreachable).  Both
+    backends work on an index-based adjacency list.  The numpy backend
+    relaxes blocks of sources at once, label-correcting
+    (:func:`repro.geometry.kernels.multi_source_distances`); the python
+    backend runs one Dijkstra per source.  Both reach the minimum over paths
+    of the left-to-right ``distance + weight`` float sum, so every entry
     equals :func:`dijkstra`'s exactly.
 
     Parameters
     ----------
     sources:
         Restrict the computation to these source vertices (all by default).
+    backend:
+        ``"auto"``, ``"numpy"`` or ``"python"``
+        (:func:`repro.geometry.kernels.resolve_backend`).
+
+    Raises
+    ------
+    KeyError
+        If a source is not a vertex of the network.
     """
+    backend = kernels.resolve_backend(backend)
     vertices = list(network.vertices())
     column_of = {vertex: column for column, vertex in enumerate(vertices)}
+    starts = []
+    for source in vertices if sources is None else sources:
+        if source not in column_of:
+            raise KeyError(f"source vertex {source} not in network")
+        starts.append(column_of[source])
     adjacency = [
         [
             (column_of[neighbor], network.edge_weight(vertex, neighbor))
@@ -132,14 +153,13 @@ def shortest_distance_rows(
         ]
         for vertex in vertices
     ]
+    if backend == kernels.BACKEND_NUMPY:
+        return column_of, kernels.multi_source_distances(adjacency, starts)
     unreached = array("d", [math.inf]) * len(vertices)
     rows: List[array] = []
-    for source in vertices if sources is None else sources:
-        if source not in column_of:
-            raise KeyError(f"source vertex {source} not in network")
+    for start in starts:
         distances = array("d", unreached)
         settled = bytearray(len(vertices))
-        start = column_of[source]
         distances[start] = 0.0
         heap = [(0.0, start)]
         while heap:
@@ -159,7 +179,9 @@ def shortest_distance_rows(
 
 
 def all_pairs_shortest_distances(
-    network: BusNetwork, sources: Optional[Sequence[int]] = None
+    network: BusNetwork,
+    sources: Optional[Sequence[int]] = None,
+    backend: str = kernels.BACKEND_AUTO,
 ) -> Dict[int, Dict[int, float]]:
     """All-pairs shortest distances ``M_ψ`` as ``{source: {vertex: d}}``.
 
@@ -172,9 +194,11 @@ def all_pairs_shortest_distances(
     ----------
     sources:
         Restrict the computation to these source vertices (all by default).
+    backend:
+        As for :func:`shortest_distance_rows`.
     """
     vertices = list(sources) if sources is not None else list(network.vertices())
-    column_of, rows = shortest_distance_rows(network, vertices)
+    column_of, rows = shortest_distance_rows(network, vertices, backend)
     return {
         source: {
             vertex: row[column]

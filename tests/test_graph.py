@@ -52,6 +52,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             small_network.add_edge(0, 4, weight=-1.0)
 
+    def test_nan_weight_rejected(self, small_network):
+        # A NaN edge would pass a ``< 0`` check, and no later parallel edge
+        # could replace it (``1.0 < nan`` is False).
+        with pytest.raises(ValueError):
+            small_network.add_edge(0, 4, weight=math.nan)
+        assert not small_network.has_edge(0, 4)
+        small_network.add_edge(0, 4, weight=1.0)
+        assert small_network.edge_weight(0, 4) == 1.0
+        assert small_network.path_distance([0, 4]) == 1.0
+
     def test_default_weight_is_euclidean(self, small_network):
         assert small_network.edge_weight(0, 1) == pytest.approx(1.0)
         assert small_network.edge_weight(1, 0) == pytest.approx(1.0)

@@ -112,10 +112,11 @@ class TestShortestMatrix:
         w = network.vertex_at((0.0, 8.0))  # route 2 is disconnected from route 0
         assert math.isinf(index.shortest_distance(u, w))
 
-    def test_matrix_equals_dijkstra_exactly(self, toy_setup):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matrix_equals_dijkstra_exactly(self, toy_setup, backend):
         network, processor = toy_setup
         index = VertexRkNNTIndex(network, processor, k=1)
-        index.build(vertices=[])
+        index.build(vertices=[], backend=backend)
         for source in network.vertices():
             distances, _ = dijkstra(network, source)
             for target in network.vertices():

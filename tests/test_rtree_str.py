@@ -216,11 +216,9 @@ def test_fill_boundaries(backend, size):
     points = [((i * 7919) % 97 * 0.5, (i * 104729) % 89 * 0.25) for i in range(size)]
     with backend_forced(backend):
         tree = RTree.bulk_load(_entries(points), max_entries=8)
-        assert_same_tree(tree, reference_bulk_load(_entries(points), 8, False))
         if size:
-            assert all(
-                node.packed_boxes is not None for node in columnar.walk_nodes(tree)
-            )
+            assert_packed_boxes_installed_on_numpy_only(tree)
+        assert_same_tree(tree, reference_bulk_load(_entries(points), 8, False))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -231,6 +229,14 @@ def test_decode_installs_the_same_boxes(backend):
         decoded = columnar.decode_tree(
             columnar.encode_tree(tree, columnar.PAYLOAD_ROUTE)
         )
-        for node in columnar.walk_nodes(decoded):
-            assert node.packed_boxes is not None  # installed, not lazy
+        assert_packed_boxes_installed_on_numpy_only(decoded)
         assert_same_tree(decoded, reference_bulk_load(_entries(points), 6, False))
+
+
+def assert_packed_boxes_installed_on_numpy_only(tree):
+    """Bulk load and decode install every node's packed child boxes on the
+    numpy backend; off numpy they stay lazy, yet read the same."""
+    for node in columnar.walk_nodes(tree):
+        assert (node.packed_boxes is not None) == kernels.numpy_available()
+        expected = kernels.pack_boxes(node.child_box_tuples())
+        assert kernels.id_list(node.packed_child_boxes()) == kernels.id_list(expected)

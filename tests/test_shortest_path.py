@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.workloads import make_city
+from repro.geometry.kernels import numpy_available
 from repro.planning.graph import BusNetwork
 from repro.planning.shortest_path import (
     all_pairs_shortest_distances,
@@ -17,6 +19,8 @@ from repro.planning.shortest_path import (
     shortest_path,
     yen_k_shortest_paths,
 )
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture
@@ -167,15 +171,27 @@ def sparse_networks(draw):
     return network, ids
 
 
+def assert_rows_equal_dijkstra(network, sources, backend):
+    """Every entry of ``M_ψ`` is :func:`dijkstra`'s float, bit for bit."""
+    column_of, rows = shortest_distance_rows(network, sources, backend=backend)
+    assert len(rows) == len(sources)
+    for source, row in zip(sources, rows):
+        distances, _ = dijkstra(network, source)
+        for vertex, column in column_of.items():
+            assert row[column] == distances.get(vertex, math.inf)
+    return column_of, rows
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestShortestDistanceRows:
     @settings(max_examples=80, deadline=None)
     @given(case=sparse_networks(), data=st.data())
-    def test_every_entry_equals_dijkstra_exactly(self, case, data):
+    def test_every_entry_equals_dijkstra_exactly(self, backend, case, data):
         network, ids = case
         sources = data.draw(
             st.one_of(st.none(), st.lists(st.sampled_from(ids), max_size=len(ids)))
         )
-        column_of, rows = shortest_distance_rows(network, sources)
+        column_of, rows = shortest_distance_rows(network, sources, backend=backend)
         expected_sources = ids if sources is None else sources
         assert sorted(column_of) == sorted(ids)
         assert len(rows) == len(expected_sources)
@@ -186,14 +202,61 @@ class TestShortestDistanceRows:
 
     @settings(max_examples=40, deadline=None)
     @given(case=sparse_networks())
-    def test_dict_view_equals_dijkstra_exactly(self, case):
+    def test_dict_view_equals_dijkstra_exactly(self, backend, case):
         network, ids = case
         expected = {source: dijkstra(network, source)[0] for source in ids}
-        assert all_pairs_shortest_distances(network) == expected
+        assert all_pairs_shortest_distances(network, backend=backend) == expected
 
-    def test_unknown_source_raises(self, grid_network):
+    def test_unknown_source_raises(self, backend, grid_network):
         with pytest.raises(KeyError):
-            shortest_distance_rows(grid_network, [0, 999])
+            shortest_distance_rows(grid_network, [0, 999], backend=backend)
+
+    def test_duplicate_sources_repeat_rows(self, backend, grid_network):
+        _, rows = assert_rows_equal_dijkstra(grid_network, [5, 0, 5, 5], backend)
+        assert rows[0] == rows[2] == rows[3]
+        assert rows[0] is not rows[2]
+
+    def test_empty_sources(self, backend, grid_network):
+        column_of, rows = shortest_distance_rows(grid_network, [], backend=backend)
+        assert sorted(column_of) == sorted(grid_network.vertices())
+        assert rows == []
+        empty = BusNetwork()
+        assert shortest_distance_rows(empty, backend=backend) == ({}, [])
+
+    def test_disconnected_components(self, backend):
+        network = BusNetwork()
+        for vertex in range(6):
+            network.add_vertex(vertex, (float(vertex), 0.0))
+        network.add_edge(0, 1)
+        network.add_edge(1, 2)
+        network.add_edge(3, 4)  # vertex 5 is isolated
+        column_of, rows = assert_rows_equal_dijkstra(network, list(range(6)), backend)
+        assert math.isinf(rows[0][column_of[3]])
+        assert rows[5][column_of[5]] == 0.0
+        assert [d for d in rows[5] if d != math.inf] == [0.0]
+
+    def test_zero_weight_edges(self, backend):
+        network = BusNetwork()
+        for vertex in range(5):
+            network.add_vertex(vertex, (float(vertex), 0.0))
+        for u, v, weight in [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.1), (0, 3, 0.1), (3, 4, 0.0)]:
+            network.add_edge(u, v, weight)
+        column_of, rows = assert_rows_equal_dijkstra(network, list(range(5)), backend)
+        assert rows[0][column_of[2]] == 0.0
+        assert rows[0][column_of[4]] == 0.1
+
+
+
+@pytest.mark.parametrize("preset", ["la", "nyc"])
+def test_preset_networks_agree_bitwise_on_every_backend(preset):
+    """On the benchmark cities the python rows equal :func:`dijkstra` and
+    every other backend's rows equal the python rows, byte for byte."""
+    network = make_city(preset)[0].network
+    sources = list(network.vertices())
+    _, reference = assert_rows_equal_dijkstra(network, sources, "python")
+    for backend in BACKENDS[1:]:
+        _, rows = shortest_distance_rows(network, backend=backend)
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in reference]
 
 
 class TestYen:

@@ -69,8 +69,11 @@ class TestColumnarSeed:
         context = fresh_processor.engine_context
         context.route_matrix()
         trees = (context.route_index.tree, context.transition_index.tree)
-        # Bulk load installs every node's packed child boxes; the pickle
-        # bytes are the same with them dropped, so none of them travel.
+        # Bulk load installs every node's packed child boxes (on numpy); the
+        # pickle bytes are the same with them dropped, so none of them travel.
+        for tree in trees:
+            for node in columnar.walk_nodes(tree):
+                node.packed_child_boxes()
         shipped = pickle.dumps(context)
         for tree in trees:
             for node in columnar.walk_nodes(tree):
