@@ -1,7 +1,7 @@
 """Ablation: STR bulk loading vs incremental insertion for the RR-tree.
 
 DESIGN.md builds the RR-tree / TR-tree with Sort-Tile-Recursive packing and
-falls back to Guttman insertion only for dynamic updates.  This ablation
+uses Guttman insertion only for transitions that arrive later.  This ablation
 quantifies that choice: it builds the same route index both ways and compares
 (a) construction cost and (b) query cost of the best-first traversal that the
 RkNNT filter phase relies on.
@@ -39,7 +39,9 @@ def build_bulk(entries):
 
 
 def build_incremental(entries):
-    tree = RTree(max_entries=16, track_payload_union=True)
+    # No payload unions: a tree that keeps them is static and refuses
+    # inserts.  Neither traversal below reads them.
+    tree = RTree(max_entries=16)
     for entry in entries:
         tree.insert(RTreeEntry(entry.point, entry.payload))
     return tree

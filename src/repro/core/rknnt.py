@@ -365,7 +365,7 @@ class RkNNTProcessor:
         method: str = VORONOI,
         semantics: Union[Semantics, str] = EXISTS,
         exclude_route_ids: Optional[Iterable[int]] = None,
-        backend: str = BACKEND_PYTHON,
+        backend: str = BACKEND_AUTO,
     ) -> RkNNTResult:
         """Answer ``RkNNT(query)`` with the chosen method and semantics.
 
@@ -385,11 +385,11 @@ class RkNNTProcessor:
             of the dataset, pass its id here so it does not compete with
             itself.
         backend:
-            Geometry-kernel backend.  Defaults to the scalar backend: a
-            single query does not amortise array packing, and its statistics
-            then reflect the per-tuple work the paper's figures count.  Use
-            :meth:`query_batch` (or pass ``"auto"``) for the vectorized
-            kernels; answers are identical either way.
+            Geometry-kernel backend.  ``"auto"`` (the default) runs the
+            vectorized kernels when numpy is importable and the scalar ones
+            otherwise; ``"python"`` forces the scalar kernels, which
+            measured 5–11× slower on single nyc×1.5 queries (k = 10).
+            Answers and every statistics counter are equal across backends.
 
         Returns
         -------

@@ -210,7 +210,9 @@ def decode_tree(columns: TreeColumns) -> RTree:
     enumerates, so node ``i`` of the decoded tree is node ``i`` of the
     encoded one.  Bounding boxes and packed child boxes are then installed
     one level at a time, bottom-up, from the same coordinates (see
-    :func:`_install_level_boxes`); payload unions are left lazy (see
+    :func:`_install_level_boxes`), which also checks that every leaf sits
+    at the deepest level, so ``leaf_count`` is that level's width; payload
+    unions are left lazy (see
     :attr:`repro.index.rtree.RTreeNode.payload_union`) so a decode costs no
     set-building up front.  Each column is turned into a Python list once
     (:func:`~repro.geometry.kernels.id_list`): indexing a list per entry is
@@ -264,10 +266,7 @@ def decode_tree(columns: TreeColumns) -> RTree:
             node.children = entries[next_entry : next_entry + count]
             next_entry += count
         else:
-            for _ in range(count):
-                child = build(depth + 1)
-                child.parent = node
-                node.children.append(child)
+            node.children = [build(depth + 1) for _ in range(count)]
         if track_union:
             node._payload_union = None  # materialised lazily on first read
         return node
@@ -280,8 +279,8 @@ def decode_tree(columns: TreeColumns) -> RTree:
             f"{columns.entry_count}"
         )
     _install_level_boxes(levels, columns.entry_points)
-    root.parent = None
     tree.root = root
+    tree.leaf_count = len(levels[-1])
     return tree
 
 

@@ -155,7 +155,7 @@ class PointList:
 class NodeList:
     """Per-node route-id sets for an RR-tree (NList).
 
-    The generic R-tree already maintains ``payload_union`` per node when
+    The generic R-tree already builds ``payload_union`` per node when
     constructed with ``track_payload_union=True``; this class is a thin
     façade exposing that information under the paper's terminology and adds
     the bottom-up construction for trees built without tracking.  The
@@ -190,8 +190,8 @@ class NodeList:
     def routes_in_node(self, node: RTreeNode) -> FrozenSet[int]:
         """Route ids with at least one point inside ``node``.
 
-        Falls back to the node's live ``payload_union`` when the node was
-        created after this NList was built (dynamic insertions).
+        Falls back to the node's own ``payload_union`` for a node this NList
+        has not seen (a tree rebuilt after the NList was built).
         """
         cached = self._routes_by_node.get(id(node))
         if cached is not None:

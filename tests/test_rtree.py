@@ -99,12 +99,23 @@ class TestInvariants:
         self.check_payload_unions(tree.root)
 
     def test_insert_invariants(self):
-        tree = RTree(max_entries=6, track_payload_union=True)
+        tree = RTree(max_entries=6)
         for i, point in enumerate(random_points(200, seed=4)):
             tree.insert_point(point, frozenset({i}))
         assert len(tree) == 200
         self.check_bboxes(tree.root)
-        self.check_payload_unions(tree.root)
+
+    def test_union_tracking_tree_is_static(self):
+        points = random_points(40, seed=4)
+        tree = RTree.bulk_load(
+            make_entries(points), max_entries=6, track_payload_union=True
+        )
+        with pytest.raises(ValueError, match="static"):
+            tree.insert_point((1.0, 1.0), frozenset({99}))
+        with pytest.raises(ValueError, match="static"):
+            tree.remove(points[0])
+        assert len(tree) == 40
+        assert tree.root.payload_union == frozenset(range(40))
 
     def test_leaf_depth_uniform_after_bulk_load(self):
         tree = RTree.bulk_load(make_entries(random_points(300, seed=5)), max_entries=8)
@@ -161,7 +172,7 @@ class TestInsertDelete:
             assert tree.remove(point) is not None
         assert len(tree) == 0
 
-    def test_condense_keeps_entries(self):
+    def test_deletes_keep_entries(self):
         points = random_points(120, seed=8)
         tree = RTree.bulk_load(make_entries(points), max_entries=5)
         removed = set()
@@ -173,6 +184,51 @@ class TestInsertDelete:
         expected = sorted(p for p in points if p not in removed)
         assert remaining == expected
         TestInvariants.check_bboxes(tree.root)
+
+    def test_delete_never_reinserts(self, monkeypatch):
+        def no_insert(self, entry):
+            raise AssertionError("a delete re-inserted an entry")
+
+        monkeypatch.setattr(RTree, "insert", no_insert)
+        points = random_points(200, seed=14)
+        tree = RTree.bulk_load(make_entries(points), max_entries=8)
+        for point in random.Random(1).sample(points, 150):
+            assert tree.remove(point) is not None
+        assert len(tree) == 50
+
+    def test_delete_unlinks_empty_nodes_and_collapses_the_root(self):
+        points = [(float(i), 0.0) for i in range(8)]
+        tree = RTree.bulk_load(make_entries(points), max_entries=4)
+        assert tree.height() == 2 and tree.leaf_count == 2
+        left = [entry.point for entry in tree.root.children[0].children]
+        # Emptying one leaf unlinks it; the root is left with one child and
+        # is replaced by it.
+        for point in left[:-1]:
+            tree.remove(point)
+        assert tree.leaf_count == 2
+        tree.remove(left[-1])
+        assert tree.height() == 1 and tree.leaf_count == 1
+        assert sorted(e.point for e in tree.entries()) == points[4:]
+        assert tree.bbox.as_tuple() == (4.0, 0.0, 7.0, 0.0)
+
+    def test_rebuild_keeps_the_average_leaf_fill_at_min(self):
+        points = random_points(64, seed=15)
+        tree = RTree.bulk_load(make_entries(points), max_entries=4)
+        rebuilds = []
+        load = tree._load
+        tree._load = lambda entries: (rebuilds.append(len(entries)), load(entries))
+        remaining = list(points)
+        random.Random(2).shuffle(remaining)
+        while remaining:
+            assert tree.remove(remaining.pop()) is not None
+            leaves = [node for node in walk_nodes(tree) if node.is_leaf]
+            assert tree.leaf_count == len(leaves)
+            # Only a one-leaf tree may stay under the bar (STR cannot
+            # spread fewer than min_entries entries any thinner).
+            assert len(tree) >= tree.min_entries * len(leaves) or len(leaves) == 1
+            assert sorted(e.point for e in tree.entries()) == sorted(remaining)
+        assert rebuilds and all(size < 32 for size in rebuilds)
+        assert tree.root.is_leaf and tree.bbox is None
 
 
 class TestQueries:
@@ -208,16 +264,6 @@ class TestQueries:
         distances = [d for d, _ in tree.iter_nearest((50, 50))]
         assert distances == sorted(distances)
         assert len(distances) == 150
-
-    def test_iter_best_first_visits_everything(self):
-        points = random_points(80, seed=13)
-        tree = RTree.bulk_load(make_entries(points), max_entries=8)
-        seen_points = [
-            item.point
-            for _, item in tree.iter_best_first([(10, 10), (90, 90)])
-            if isinstance(item, RTreeEntry)
-        ]
-        assert sorted(seen_points) == sorted(points)
 
     def test_empty_tree_queries(self):
         tree = RTree()

@@ -13,10 +13,12 @@ point_sets = st.lists(point, min_size=0, max_size=80)
 
 
 def build_tree(points, bulk, max_entries=6):
+    """An STR tree with payload unions, or a tree grown by insertion (which
+    a union-tracking tree refuses)."""
     entries = [RTreeEntry(p, frozenset({i})) for i, p in enumerate(points)]
     if bulk:
         return RTree.bulk_load(entries, max_entries=max_entries, track_payload_union=True)
-    tree = RTree(max_entries=max_entries, track_payload_union=True)
+    tree = RTree(max_entries=max_entries)
     for entry in entries:
         tree.insert(entry)
     return tree
@@ -91,10 +93,10 @@ def test_insert_then_remove_random_subset(points, removals):
         assert abs(tree.nearest_neighbors(query, k=1)[0][0] - best) < 1e-9
 
 
-@given(points=point_sets, bulk=st.booleans())
+@given(points=point_sets)
 @settings(max_examples=40, deadline=None)
-def test_payload_union_of_root_is_every_payload(points, bulk):
-    tree = build_tree(points, bulk)
+def test_payload_union_of_root_is_every_payload(points):
+    tree = build_tree(points, bulk=True)
     if points:
         assert tree.root.payload_union == frozenset(range(len(points)))
 
@@ -106,9 +108,11 @@ def assert_tree_invariants(tree, live):
     """``tree`` holds exactly the ``live`` entries and is a valid R-tree.
 
     Every entry is reachable and ``len`` is exact; every box is the tight
-    box of its children; all leaves sit at one depth; every node's packed
-    child boxes equal a fresh pack of its children's boxes, so a slice
-    installed at build or decode never outlives a mutation below it.
+    box of its children; all leaves sit at one depth and ``leaf_count``
+    counts them; no node below the root is empty and an internal root has
+    at least two children; every node's packed child boxes equal a fresh
+    pack of its children's boxes, so a slice installed at build or decode
+    never outlives a mutation below it.
     """
     from repro.engine.columnar import walk_nodes
     from repro.geometry import kernels
@@ -124,13 +128,14 @@ def assert_tree_invariants(tree, live):
             leaf_depths.add(depth)
         else:
             for child in node.children:
-                assert child.parent is node
                 stack.append((child, depth + 1))
     assert len(leaf_depths) == 1
+    assert tree.leaf_count == sum(node.is_leaf for node in walk_nodes(tree))
+    assert tree.root.is_leaf or len(tree.root.children) >= 2
     assert tree.height() == leaf_depths.pop()
     for node in walk_nodes(tree):
         if not node.children:
-            assert node is tree.root and node.bbox is None
+            assert node is tree.root and node.is_leaf and node.bbox is None
             continue
         if node.is_leaf:
             tight = BoundingBox.from_points(e.point for e in node.children)
@@ -139,11 +144,6 @@ def assert_tree_invariants(tree, live):
         assert node.bbox == tight
         fresh = kernels.pack_boxes(node.child_box_tuples())
         assert kernels.id_list(node.packed_child_boxes()) == kernels.id_list(fresh)
-        if tree.track_payload_union:
-            expected = set()
-            for entry in node.entries():
-                expected |= entry.payload
-            assert node.payload_union == expected
 
 
 churn_ops = st.lists(
@@ -173,18 +173,15 @@ def apply_churn(tree, live, ops, next_id):
     ops=churn_ops,
     more_ops=churn_ops,
     max_entries=st.sampled_from([4, 5, 8]),
-    track=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_churn_keeps_invariants_and_drops_stale_packed_boxes(
-    points, ops, more_ops, max_entries, track
+    points, ops, more_ops, max_entries
 ):
     from repro.engine.columnar import PAYLOAD_ROUTE, decode_tree, encode_tree
 
     live = [RTreeEntry(p, frozenset({i})) for i, p in enumerate(points)]
-    tree = RTree.bulk_load(
-        list(live), max_entries=max_entries, track_payload_union=track
-    )
+    tree = RTree.bulk_load(list(live), max_entries=max_entries)
     assert_tree_invariants(tree, live)
     next_id = apply_churn(tree, live, ops, len(points))
     assert_tree_invariants(tree, live)
