@@ -130,10 +130,6 @@ def _measure_scale(bundle, bench_scale, tmp_dir):
     }
 
 
-@pytest.mark.skipif(
-    not numpy_available(),
-    reason="the store packs/maps columns with the numpy backend",
-)
 def test_store_cold_start(benchmark, la_bundle, bench_scale, write_result, tmp_path):
     small = _measure_scale(la_bundle, bench_scale, str(tmp_path))
     large_scale = dataclasses.replace(

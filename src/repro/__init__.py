@@ -19,8 +19,8 @@ Quick start
 [[0], [0]]
 
 Batch workloads go through :meth:`RkNNTProcessor.query_batch`, which shares
-the execution engine's per-dataset caches and (when numpy is installed) the
-vectorized geometry kernels across all queries — with answers element-wise
+the execution engine's per-dataset caches and the vectorized geometry
+kernels across all queries — with answers element-wise
 identical to per-query :meth:`RkNNTProcessor.query` calls.
 
 The sub-packages mirror the paper's structure:

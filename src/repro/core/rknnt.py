@@ -166,8 +166,7 @@ class RkNNTProcessor:
         datasets; its serving pools reseed by shipping the store handle
         instead of a context pickle.  Raises
         :class:`~repro.engine.resilience.StoreError` when the file is
-        missing, corrupt, of an unsupported version, or numpy is
-        unavailable (the store needs the typed-array backend).
+        missing, corrupt or of an unsupported version.
         """
         from repro.engine import store as store_module
 
@@ -386,8 +385,7 @@ class RkNNTProcessor:
             itself.
         backend:
             Geometry-kernel backend.  ``"auto"`` (the default) runs the
-            vectorized kernels when numpy is importable and the scalar ones
-            otherwise; ``"python"`` forces the scalar kernels, which
+            vectorized kernels; ``"python"`` runs the scalar predicates, which
             measured 5–11× slower on single nyc×1.5 queries (k = 10).
             Answers and every statistics counter are equal across backends.
 
@@ -427,8 +425,8 @@ class RkNNTProcessor:
         query (the differential tests assert this for every method and both
         semantics, serial and sharded); the speedup comes from
 
-        * the vectorized geometry kernels (``backend="auto"`` selects numpy
-          when available) testing whole R-tree child/entry blocks per call,
+        * the vectorized geometry kernels (``backend="auto"`` selects numpy)
+          testing whole R-tree child/entry blocks per call,
         * the flattened route matrix shared by every verification stage,
         * memoised single-point sub-queries (divide & conquer only; they
           hit only when query routes share a point, 1 lookup in 160 on a

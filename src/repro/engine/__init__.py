@@ -36,8 +36,8 @@ This package factors that pipeline out of the per-method modules:
   ``RKNNT_FAULTS`` spec so every chaos run reproduces.
 
 The geometry kernels themselves live in :mod:`repro.geometry.kernels`; the
-engine is backend-agnostic and produces element-wise identical answers on
-the numpy and pure-Python backends.
+engine produces element-wise identical answers on its numpy (batch
+kernel) and python (scalar predicate) backends.
 """
 
 from repro.engine.context import ExecutionContext
@@ -64,8 +64,6 @@ from repro.engine.plan import (
     DIVIDE_CONQUER,
     FILTER_REFINE,
     METHODS,
-    TRAVERSAL_BLOCK,
-    TRAVERSAL_NODE,
     QueryPlan,
     VORONOI,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "ShardedExecutor",
     "Subscription",
     "SyncLogError",
-    "TRAVERSAL_BLOCK",
-    "TRAVERSAL_NODE",
     "UpdateStreamError",
     "VORONOI",
     "WorkerCrashError",

@@ -229,7 +229,6 @@ class Subscription:
                 use_voronoi=self.plan.use_voronoi,
                 exclude_route_ids=self.excluded,
                 backend=self.plan.backend,
-                filter_traversal=self.plan.filter_traversal,
             )
             for transition_id, endpoints in executor.run(sub).items():
                 confirmed.setdefault(transition_id, set()).update(endpoints)
@@ -289,7 +288,6 @@ class Subscription:
                 use_voronoi=self.plan.use_voronoi,
                 exclude_route_ids=self.excluded,
                 backend=self.plan.backend,
-                filter_traversal=self.plan.filter_traversal,
             )
             executor.filter_set = filter_set
             for transition_id, endpoints in sub_confirmed.items():

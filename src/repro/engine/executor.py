@@ -49,13 +49,7 @@ from repro.core.semantics import Semantics
 from repro.core.stats import QueryStatistics
 from repro.engine.context import ExecutionContext
 from repro.engine.filterset import FilterSet
-from repro.engine.plan import (
-    KNN_RADIUS,
-    TRAVERSAL_AUTO,
-    TRAVERSAL_NODE,
-    QueryPlan,
-    resolve_traversal,
-)
+from repro.engine.plan import KNN_RADIUS, QueryPlan
 from repro.engine.resilience import Deadline
 from repro.geometry import kernels
 from repro.geometry.bbox import BoundingBox
@@ -86,11 +80,6 @@ class QueryExecutor:
         an existing route still present in the index).
     backend:
         Geometry-kernel backend (``"auto"`` / ``"numpy"`` / ``"python"``).
-    filter_traversal:
-        RR-tree filter-phase traversal style: ``"block"`` (default via
-        ``"auto"``) expands all children of the best node in one kernel
-        call; ``"node"`` is the original node-at-a-time heap loop.  The two
-        make identical decisions (same answers, same traversal counters).
     deadline:
         Optional :class:`~repro.engine.resilience.Deadline` checked at the
         pipeline's stage boundaries.  Deadlines only ever *raise*
@@ -105,7 +94,6 @@ class QueryExecutor:
         use_voronoi: bool = False,
         exclude_route_ids: Optional[Iterable[int]] = None,
         backend: str = "python",
-        filter_traversal: str = TRAVERSAL_AUTO,
         deadline: Optional[Deadline] = None,
     ):
         if k <= 0:
@@ -115,7 +103,6 @@ class QueryExecutor:
         self.use_voronoi = use_voronoi
         self.excluded: FrozenSet[int] = frozenset(exclude_route_ids or ())
         self.backend = resolve_backend(backend)
-        self.filter_traversal = resolve_traversal(filter_traversal)
         self.deadline = deadline
         self.stats = QueryStatistics()
         self.filter_set = FilterSet()
@@ -237,66 +224,14 @@ class QueryExecutor:
     def filter_routes(self, query_points: QueryPoints) -> None:
         """Traverse the RR-tree, building the filter set and the refine set.
 
-        Two traversal styles are implemented.  Both are best-first heaps and
-        make *identical* decisions (same filter set, same pruned nodes, same
-        traversal counters — ``tests/test_engine_blocks.py`` asserts this):
-
-        * ``"node"`` — the original loop: pop an item, filter-test it, push
-          all children.  One single-box predicate call per popped node.
-        * ``"block"`` — block expansion: when the best node is expanded, all
-          of its children are scored *and* filter-tested in one kernel call;
-          only the survivors are pushed.  A pushed survivor is re-tested at
-          its own pop only when the filter set grew in between (tracked via
-          :attr:`FilterSet.generation`) — the predicate is monotone in the
-          filter set, so an unchanged set cannot flip the earlier verdict,
-          and a grown set re-tests exactly when the node-at-a-time loop
-          would have tested with more information.
+        A best-first heap with block expansion: when the best node is
+        expanded, all of its children are scored *and* filter-tested in one
+        kernel call; only the survivors are pushed.  A pushed survivor is
+        re-tested at its own pop only when the filter set grew in between
+        (tracked via :attr:`FilterSet.generation`) — the predicate is
+        monotone in the filter set, so an unchanged set cannot flip the
+        earlier verdict.
         """
-        if self.filter_traversal == TRAVERSAL_NODE:
-            self._filter_routes_node(query_points)
-        else:
-            self._filter_routes_block(query_points)
-
-    def _filter_routes_node(self, query_points: QueryPoints) -> None:
-        """Node-at-a-time traversal (the original engine loop)."""
-        tree = self.context.route_index.tree
-        if len(tree) == 0 or tree.root.bbox is None:
-            return
-        normalised = [(float(p[0]), float(p[1])) for p in query_points]
-        query = self._pack_query(normalised)
-        counter = itertools.count()
-        heap: List[Tuple[float, int, object]] = [
-            (
-                tree.root.bbox.min_dist_sq_to_query(normalised),
-                next(counter),
-                tree.root,
-            )
-        ]
-        while heap:
-            _, _, item = heapq.heappop(heap)
-            if isinstance(item, RTreeNode):
-                self.stats.route_nodes_visited += 1
-                assert item.bbox is not None
-                if self._filtered_boxes([item.bbox.as_tuple()], query, normalised)[0]:
-                    # Keep the pruned node for the verification phase (its
-                    # NList supplies whole sets of closer routes at once).
-                    self.refine_nodes.append(item)
-                    self.stats.nodes_pruned += 1
-                    continue
-                for child, distance in zip(
-                    item.children, self._child_distances(item, query, normalised)
-                ):
-                    heapq.heappush(heap, (float(distance), next(counter), child))
-            else:
-                assert isinstance(item, RTreeEntry)
-                crossover = frozenset(item.payload) - self.excluded
-                if not crossover:
-                    continue
-                self.filter_set.add(item.point, crossover)
-                self.stats.filter_points += 1
-
-    def _filter_routes_block(self, query_points: QueryPoints) -> None:
-        """Block-expansion traversal: whole child blocks per kernel call."""
         tree = self.context.route_index.tree
         if len(tree) == 0 or tree.root.bbox is None:
             return
@@ -351,8 +286,8 @@ class QueryExecutor:
             assert isinstance(child, RTreeNode)
             if filtered:
                 # Pruned at expansion time: account for it exactly as its
-                # own node-at-a-time pop would have (visited + pruned), and
-                # keep it for the verification phase.
+                # own pop would have (visited + pruned), and keep it for the
+                # verification phase.
                 self.stats.route_nodes_visited += 1
                 self.refine_nodes.append(child)
                 self.stats.nodes_pruned += 1
@@ -583,7 +518,6 @@ def run_stages(
             use_voronoi=plan.use_voronoi,
             exclude_route_ids=excluded,
             backend=plan.backend,
-            filter_traversal=plan.filter_traversal,
             deadline=deadline,
         )
         return executor.run(query_points), executor.stats
@@ -625,7 +559,6 @@ def _run_decomposed(
                 use_voronoi=plan.use_voronoi,
                 exclude_route_ids=excluded,
                 backend=plan.backend,
-                filter_traversal=plan.filter_traversal,
                 deadline=deadline,
             )
             sub_confirmed = executor.run([point])

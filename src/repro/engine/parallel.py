@@ -19,8 +19,8 @@ distributes shards across a :class:`concurrent.futures.ProcessPoolExecutor`:
   - otherwise the **columnar pickle** of the context (derived caches
     stripped — see :meth:`~repro.engine.context.ExecutionContext
     .__getstate__`; the indexes encode themselves as packed columns).
-    This is the only seed on numpy-less installs, the seed after churn,
-    and the fallback when a store attach fails.
+    This is the seed after churn and the fallback when a store attach
+    fails.
 
   Either way each worker builds its route matrix and packed box blocks
   privately and lazily, on first use;
@@ -279,7 +279,6 @@ def standing_parts(context: ExecutionContext, job) -> List[Any]:
             use_voronoi=plan.use_voronoi,
             exclude_route_ids=excluded,
             backend=plan.backend,
-            filter_traversal=plan.filter_traversal,
         )
         confirmed = executor.run(sub)
         filter_set = executor.filter_set

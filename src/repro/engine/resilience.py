@@ -173,7 +173,7 @@ class SyncLogError(RkNNTError):
 class StoreError(RkNNTError):
     """A persistent store file could not be written, opened or validated
     (missing file, truncated header, checksum mismatch, unsupported
-    format version, numpy unavailable).  Recoverable: the caller degrades
+    format version).  Recoverable: the caller degrades
     to the columnar pickle path and answers stay identical."""
 
     wire_code = "store_attach_failed"

@@ -43,7 +43,7 @@ produces byte-identical files — ``tests/test_store.py`` asserts it.
 
 Failure contract: every way a store can fail to write, open or validate
 (missing file, truncated preamble, checksum mismatch, unsupported format
-version, layout drift, numpy unavailable) raises a typed
+version, layout drift) raises a typed
 :class:`~repro.engine.resilience.StoreError`, and callers degrade to the
 columnar pickle path — identical answers, never a crash.  The
 ``store_attach`` injection point (:mod:`repro.engine.faults`) drives that
@@ -307,14 +307,8 @@ def save(
     output is byte-deterministic: the same logical dataset produces the
     identical file on every run.  Returns the :class:`StoreHandle` a
     serving reseed ships.  Raises :class:`~repro.engine.resilience
-    .StoreError` when the numpy backend is unavailable (the packed
-    columns must already be contiguous typed arrays) or the file cannot
-    be written.
+    .StoreError` when the file cannot be written.
     """
-    if not kernels.numpy_available():
-        raise StoreError(
-            "saving a store requires the numpy backend", path=str(path)
-        )
     f64_columns, i32_columns, u8_columns = _column_arrays(routes, transitions)
     specs: List[ColumnSpec] = []
     blobs: List[bytes] = []
@@ -567,12 +561,6 @@ def open_store(path: str) -> Store:
     validation failure raises :class:`~repro.engine.resilience
     .StoreError` with structured context.
     """
-    if not kernels.numpy_available():
-        raise StoreError(
-            "opening a store requires the numpy backend "
-            "(pure-Python callers use the pickle path)",
-            path=str(path),
-        )
     path = os.path.abspath(path)
     try:
         handle = open(path, "rb")

@@ -1,7 +1,7 @@
 """Spatial indexes: generic R-tree, RR-tree, TR-tree and inverted lists."""
 
 from repro.index.rtree import RTree, RTreeNode, RTreeEntry
-from repro.index.inverted import PointList, NodeList
+from repro.index.inverted import PointList
 from repro.index.route_index import RouteIndex
 from repro.index.transition_index import TransitionIndex, TransitionEntry
 
@@ -10,7 +10,6 @@ __all__ = [
     "RTreeNode",
     "RTreeEntry",
     "PointList",
-    "NodeList",
     "RouteIndex",
     "TransitionIndex",
     "TransitionEntry",

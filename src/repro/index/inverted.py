@@ -4,12 +4,14 @@
   location to the set of route ids covering it.  In a bus network many routes
   share stops, so a single filtering point can rule out several routes at
   once (its *crossover route set*, Definition 7).
-* :class:`NodeList` (the paper's *NList*) maps every RR-tree node to the set
-  of route ids that have at least one point inside the node; it is used
-  during verification to add many "closer" routes at once without opening
-  the node.
+* The paper's *NList* maps every RR-tree node to the set of route ids that
+  have at least one point inside the node; it is used during verification
+  to add many "closer" routes at once without opening the node.  It lives
+  on the nodes themselves (:attr:`repro.index.rtree.RTreeNode.payload_union`
+  and :meth:`~repro.index.rtree.RTreeNode.union_ids`), with its packed form
+  in :mod:`repro.engine.columnar` (``encode_nlist`` / ``install_nlist``).
 
-Both lists expose a **columnar boundary** (``to_columns()`` /
+The PList exposes a **columnar boundary** (``to_columns()`` /
 ``from_columns()``, encodings in :mod:`repro.engine.columnar`): sorted
 packed id arrays with offset tables instead of hash-ordered dicts of sets.
 Iteration surfaces (:meth:`PointList.points`, :meth:`PointList
@@ -24,8 +26,6 @@ materialises a private dict.
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.index.rtree import RTreeNode
 
 PointKey = Tuple[float, float]
 
@@ -150,60 +150,3 @@ class PointList:
     def __repr__(self) -> str:
         mode = "columnar" if self._routes_by_point is None else "dict"
         return f"PointList(points={len(self)}, mode={mode})"
-
-
-class NodeList:
-    """Per-node route-id sets for an RR-tree (NList).
-
-    The generic R-tree already builds ``payload_union`` per node when
-    constructed with ``track_payload_union=True``; this class is a thin
-    façade exposing that information under the paper's terminology and adds
-    the bottom-up construction for trees built without tracking.  The
-    packed per-node form of the same information (sorted id arrays with an
-    offset table, as pickled and stored) lives in
-    :mod:`repro.engine.columnar` (``encode_nlist`` / ``install_nlist``) and
-    on the nodes themselves (:meth:`repro.index.rtree.RTreeNode.union_ids`).
-    """
-
-    def __init__(self) -> None:
-        self._routes_by_node: Dict[int, FrozenSet[int]] = {}
-
-    @classmethod
-    def build(cls, root: RTreeNode) -> "NodeList":
-        """Build the NList bottom-up from an RR-tree root."""
-        node_list = cls()
-        node_list._collect(root)
-        return node_list
-
-    def _collect(self, node: RTreeNode) -> FrozenSet[int]:
-        merged: Set[int] = set()
-        if node.is_leaf:
-            for entry in node.children:
-                merged.update(entry.payload)  # type: ignore[union-attr]
-        else:
-            for child in node.children:
-                merged.update(self._collect(child))  # type: ignore[arg-type]
-        frozen = frozenset(merged)
-        self._routes_by_node[id(node)] = frozen
-        return frozen
-
-    def routes_in_node(self, node: RTreeNode) -> FrozenSet[int]:
-        """Route ids with at least one point inside ``node``.
-
-        Falls back to the node's own ``payload_union`` for a node this NList
-        has not seen (a tree rebuilt after the NList was built).
-        """
-        cached = self._routes_by_node.get(id(node))
-        if cached is not None:
-            return cached
-        return node.payload_union
-
-    def sorted_routes_in_node(self, node: RTreeNode) -> Tuple[int, ...]:
-        """Deterministic (sorted) id tuple of :meth:`routes_in_node`."""
-        return tuple(sorted(self.routes_in_node(node)))
-
-    def __len__(self) -> int:
-        return len(self._routes_by_node)
-
-    def __repr__(self) -> str:
-        return f"NodeList(nodes={len(self)})"

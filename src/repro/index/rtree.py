@@ -6,8 +6,8 @@ this module implements the classic structure from scratch:
 
 * STR (Sort-Tile-Recursive) bulk loading for building an index over an
   existing dataset, one level at a time: the ordering and every node box
-  come from :func:`repro.geometry.kernels.str_levels`, and on numpy each
-  node gets its packed child boxes as a row slice of its level's array,
+  come from :func:`repro.geometry.kernels.str_levels`, and each node gets
+  its packed child boxes as a row slice of its level's array,
 * insertion with least-enlargement subtree choice and quadratic node
   splitting (Guttman's R-tree), so the TR-tree takes the paper's arriving
   transitions,
@@ -253,10 +253,8 @@ class RTreeNode:
 
         The batched execution engine scores / filter-tests all children of a
         node per kernel call, so the packed array (``kernels.pack_boxes``
-        layout — a numpy array or a plain tuple list, depending on the
-        backend) lives on the node.  Bulk load and decode install it on the
-        numpy backend; off numpy, or after a mutation drops it, the first
-        read here packs it.
+        layout) lives on the node.  Bulk load and decode install it; after a
+        mutation drops it, the first read here packs it.
         """
         cached = self.packed_boxes
         if cached is None:
@@ -447,13 +445,10 @@ class RTree:
         """Install :func:`~repro.geometry.kernels.str_levels` output as nodes.
 
         ``entries`` are the leaf entries in leaf-level order.  Every node
-        gets its box here, and on the numpy backend its packed child boxes
-        (a row slice of the level's ``child_boxes``), so no node is boxed or
-        packed one at a time.  The scalar executor reads plain
-        ``child_box_tuples()``, so off numpy the slices would only hold memory.
+        gets its box and its packed child boxes (a row slice of the level's
+        ``child_boxes``) here, so no node is boxed or packed one at a time.
         """
         capacity = self.max_entries
-        install_packed = kernels.numpy_available()
         children: List[Any] = entries
         is_leaf = True
         for order, child_boxes, node_boxes in levels:
@@ -464,8 +459,7 @@ class RTree:
                 node = RTreeNode(is_leaf=is_leaf)
                 node.children = children[start : start + capacity]
                 node.bbox = BoundingBox(*box)
-                if install_packed:
-                    node.packed_boxes = child_boxes[start : start + capacity]
+                node.packed_boxes = child_boxes[start : start + capacity]
                 if self.track_payload_union:
                     node.recompute_payload_union()
                 nodes.append(node)

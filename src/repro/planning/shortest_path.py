@@ -6,11 +6,10 @@ MaxRkNNT needs three ingredients from classical graph search:
   seed path of Yen's algorithm;
 * all-pairs shortest distances (:func:`shortest_distance_rows`, with
   :func:`all_pairs_shortest_distances` as its dict view) — the matrix
-  ``M_ψ`` of Algorithm 5 used by the ``checkReachability`` pruning.  The
-  numpy backend relaxes all sources at once in one label-correcting pass
-  (:func:`repro.geometry.kernels.multi_source_distances`); the python
-  backend, the readable reference, runs one Dijkstra per source.  Both are
-  bitwise equal to :func:`dijkstra`.  A textbook Floyd–Warshall
+  ``M_ψ`` of Algorithm 5 used by the ``checkReachability`` pruning.  It
+  relaxes all sources at once in one label-correcting pass
+  (:func:`repro.geometry.kernels.multi_source_distances`), bitwise equal
+  to :func:`dijkstra`, the readable reference.  A textbook Floyd–Warshall
   (:func:`floyd_warshall`) is provided as the paper's reference algorithm;
 * loopless path enumeration — Yen's k shortest paths
   (:func:`yen_k_shortest_paths`) and the threshold-bounded variant
@@ -111,34 +110,28 @@ def shortest_path(
 def shortest_distance_rows(
     network: BusNetwork,
     sources: Optional[Sequence[int]] = None,
-    backend: str = kernels.BACKEND_AUTO,
 ) -> Tuple[Dict[int, int], List[array]]:
     """All-pairs shortest distances ``M_ψ`` (Algorithm 5) as compact rows.
 
     Returns ``(column_of, rows)``: ``column_of`` maps every vertex to its
     column, and ``rows[i]`` is an ``array('d')`` of the shortest distances
-    from ``sources[i]`` to every vertex (``inf`` when unreachable).  Both
-    backends work on an index-based adjacency list.  The numpy backend
-    relaxes blocks of sources at once, label-correcting
-    (:func:`repro.geometry.kernels.multi_source_distances`); the python
-    backend runs one Dijkstra per source.  Both reach the minimum over paths
-    of the left-to-right ``distance + weight`` float sum, so every entry
-    equals :func:`dijkstra`'s exactly.
+    from ``sources[i]`` to every vertex (``inf`` when unreachable).  Blocks
+    of sources are relaxed at once over an index-based adjacency list,
+    label-correcting (:func:`repro.geometry.kernels.multi_source_distances`).
+    That reaches the minimum over paths of the left-to-right
+    ``distance + weight`` float sum, so every entry equals
+    :func:`dijkstra`'s exactly.
 
     Parameters
     ----------
     sources:
         Restrict the computation to these source vertices (all by default).
-    backend:
-        ``"auto"``, ``"numpy"`` or ``"python"``
-        (:func:`repro.geometry.kernels.resolve_backend`).
 
     Raises
     ------
     KeyError
         If a source is not a vertex of the network.
     """
-    backend = kernels.resolve_backend(backend)
     vertices = list(network.vertices())
     column_of = {vertex: column for column, vertex in enumerate(vertices)}
     starts = []
@@ -153,35 +146,12 @@ def shortest_distance_rows(
         ]
         for vertex in vertices
     ]
-    if backend == kernels.BACKEND_NUMPY:
-        return column_of, kernels.multi_source_distances(adjacency, starts)
-    unreached = array("d", [math.inf]) * len(vertices)
-    rows: List[array] = []
-    for start in starts:
-        distances = array("d", unreached)
-        settled = bytearray(len(vertices))
-        distances[start] = 0.0
-        heap = [(0.0, start)]
-        while heap:
-            dist, column = heapq.heappop(heap)
-            if settled[column]:
-                continue
-            settled[column] = 1
-            for neighbor, weight in adjacency[column]:
-                if settled[neighbor]:
-                    continue
-                candidate = dist + weight
-                if candidate < distances[neighbor]:
-                    distances[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        rows.append(distances)
-    return column_of, rows
+    return column_of, kernels.multi_source_distances(adjacency, starts)
 
 
 def all_pairs_shortest_distances(
     network: BusNetwork,
     sources: Optional[Sequence[int]] = None,
-    backend: str = kernels.BACKEND_AUTO,
 ) -> Dict[int, Dict[int, float]]:
     """All-pairs shortest distances ``M_ψ`` as ``{source: {vertex: d}}``.
 
@@ -194,11 +164,9 @@ def all_pairs_shortest_distances(
     ----------
     sources:
         Restrict the computation to these source vertices (all by default).
-    backend:
-        As for :func:`shortest_distance_rows`.
     """
     vertices = list(sources) if sources is not None else list(network.vertices())
-    column_of, rows = shortest_distance_rows(network, vertices, backend)
+    column_of, rows = shortest_distance_rows(network, vertices)
     return {
         source: {
             vertex: row[column]

@@ -32,6 +32,11 @@ from repro.model.transition import Transition
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
+#: Both executor backends: the scalar predicates and the numpy batch kernels.
+#: Test modules import this (``from conftest import BACKENDS``) to run each
+#: differential check on both.
+BACKENDS = ["python", "numpy"]
+
 # ----------------------------------------------------------------------
 # Hand-built toy datasets
 # ----------------------------------------------------------------------

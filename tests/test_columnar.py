@@ -20,11 +20,12 @@ import pickle
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.rknnt import METHODS, RkNNTProcessor
 from repro.engine import columnar
 from repro.engine.executor import execute, run_stages
 from repro.engine.plan import QueryPlan
-from repro.geometry.kernels import numpy_available
 from repro.index.route_index import RouteIndex
 from repro.index.rtree import RTreeEntry
 from repro.index.transition_index import DESTINATION, ORIGIN, TransitionEntry
@@ -32,7 +33,6 @@ from repro.model.route import Route
 from repro.model.transition import Transition
 
 K = 3
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 QUERIES = [
     [(2.0, 2.0), (3.0, 2.5)],
     [(1.0, 4.0)],
@@ -185,7 +185,6 @@ class TestOnePassDecode:
             ), field.name
 
 
-@pytest.mark.skipif(not numpy_available(), reason="the store maps columns with numpy")
 def test_store_materialise_sets_off_no_collection(
     fresh_processor, tmp_path, collections_during
 ):
@@ -226,23 +225,6 @@ class TestPListColumns:
         assert [key for key, _ in items] == points
         for _, ids in items:
             assert list(ids) == sorted(ids)
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy columns")
-    def test_numpy_columns_answer_under_forced_pure_python(
-        self, fresh_processor, monkeypatch
-    ):
-        """A columnar pickle built with numpy arrays must still answer in a
-        process forcing the pure-Python kernels: lookup dispatch follows
-        the column's type, not the kernel preference."""
-        from repro.geometry import kernels
-
-        plist = fresh_processor.route_index.plist
-        clone = type(plist).from_columns(plist.to_columns())
-        monkeypatch.setattr(kernels, "_FORCED_PURE", True)
-        assert not kernels.numpy_available()
-        for key, ids in plist.sorted_items()[:10]:
-            assert clone.crossover_routes(key) == frozenset(ids)
-        assert clone.crossover_routes((1e9, 1e9)) == frozenset()
 
     def test_mutation_materialises_a_private_dict(self, fresh_processor):
         plist = fresh_processor.route_index.plist

@@ -17,10 +17,11 @@ import random
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import METHODS, RkNNTProcessor, VORONOI
 from repro.engine.continuous import CAUSE_REBUILD, ResultDelta
-from repro.geometry.kernels import numpy_available
 from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
@@ -28,8 +29,6 @@ from repro.model.transition import Transition
 K = 3
 STREAM_OPS = 200
 CHECK_EVERY = 25
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 # ----------------------------------------------------------------------

@@ -75,11 +75,11 @@ def test_check_env_knobs_flags_a_stale_table_row(tmp_path):
 
 def test_check_env_knobs_enforces_the_knob_ceiling(tmp_path):
     checker = load_checker()
-    assert checker.MAX_ENV_KNOBS == 14
+    assert checker.MAX_ENV_KNOBS == 12
     src = tmp_path / "src"
     src.mkdir()
     api = tmp_path / "api.md"
-    names = [f"RKNNT_KNOB_{index}" for index in range(15)]
+    names = [f"RKNNT_KNOB_{index}" for index in range(13)]
 
     def check(knobs):
         (src / "knobs.py").write_text(
@@ -93,7 +93,7 @@ def test_check_env_knobs_enforces_the_knob_ceiling(tmp_path):
         failures = []
         return checker.check_env_knobs(failures, str(api), str(src)), failures
 
-    assert check(names[:14]) == (14, [])
+    assert check(names[:12]) == (12, [])
     count, failures = check(names)
-    assert count == 15
-    assert len(failures) == 1 and "ceiling of 14" in failures[0]
+    assert count == 13
+    assert len(failures) == 1 and "ceiling of 12" in failures[0]

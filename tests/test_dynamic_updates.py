@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import METHODS, RkNNTProcessor
 from repro.data.workloads import make_city
@@ -24,7 +26,6 @@ from repro.engine.columnar import (
     walk_nodes,
 )
 from repro.geometry import kernels
-from repro.geometry.kernels import numpy_available
 from repro.index.inverted import point_key
 from repro.index.route_index import RouteIndex
 from repro.index.rtree import RTree
@@ -33,7 +34,6 @@ from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 SEMANTICS = ["exists", "forall"]
 
 
@@ -381,9 +381,6 @@ class TestStaticRouteTree:
         assert route_index_bits(processor.route_index) == route_index_bits(fresh)
 
 
-@pytest.mark.skipif(
-    not numpy_available(), reason="the store packs/maps columns with numpy"
-)
 class TestStoreAfterChurn:
     def test_pack_and_boot_after_churn_gives_the_same_answers(
         self, mini_city, mini_transitions, mini_workload, monkeypatch, tmp_path

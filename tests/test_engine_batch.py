@@ -13,17 +13,16 @@ from k-th-route radii) matches per-vertex scalar pipeline queries, and divide
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.filtering import FilterRefineEngine
 from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
-from repro.geometry.kernels import numpy_available
 from repro.model.transition import Transition
 from repro.planning.precompute import VertexRkNNTIndex
 
 K = 3
 QUERY_COUNT = 6
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,12 @@
 """Block-expansion traversal and chunked route-matrix equivalence tests.
 
-The block-expansion filter traversal must make *identical* decisions to the
-node-at-a-time loop: same confirmed endpoints, same node visit counts, same
-pruning counts, same filter set — per method and per backend.  Likewise the
-chunked verification matrix must confirm exactly the same endpoints for any
+The block-expansion filter traversal must make *identical* decisions on
+both backends: same confirmed endpoints, same node visit counts, same
+pruning counts, same filter set — per method.  Likewise the chunked
+verification matrix must confirm exactly the same endpoints for any
 block-row bound, and the block-expanding kNN traversals must agree with the
 brute-force count.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -21,22 +19,14 @@ from repro.engine.context import (
     matrix_block_rows,
 )
 from repro.engine.executor import run_stages
-from repro.engine.plan import (
-    TRAVERSAL_BLOCK,
-    TRAVERSAL_ENV,
-    TRAVERSAL_NODE,
-    QueryPlan,
-    default_filter_traversal,
-)
+from repro.engine.plan import QueryPlan
 from repro.geometry import kernels
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.kernels import numpy_available
 from repro.index.route_index import RouteIndex
 
 K = 3
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
-#: Traversal counters that must match exactly between the two styles.
+#: Traversal counters that must match exactly between the two backends.
 TRAVERSAL_COUNTERS = (
     "route_nodes_visited",
     "transition_nodes_visited",
@@ -57,44 +47,22 @@ def block_queries(mini_workload):
 
 class TestBlockTraversalEquivalence:
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_results_and_visit_counts_identical(
-        self, mini_processor, block_queries, method, backend
+        self, mini_processor, block_queries, method
     ):
         context = mini_processor.engine_context
         for query in block_queries:
-            plan = QueryPlan.for_method(method, backend=backend).resolved()
-            block_plan = replace(plan, filter_traversal=TRAVERSAL_BLOCK)
-            node_plan = replace(plan, filter_traversal=TRAVERSAL_NODE)
-            confirmed_block, stats_block = run_stages(
-                context, query, K, block_plan
+            confirmed_python, stats_python = run_stages(
+                context, query, K, QueryPlan.for_method(method, backend="python")
             )
-            confirmed_node, stats_node = run_stages(context, query, K, node_plan)
-            assert confirmed_block == confirmed_node
+            confirmed_numpy, stats_numpy = run_stages(
+                context, query, K, QueryPlan.for_method(method, backend="numpy")
+            )
+            assert confirmed_numpy == confirmed_python
             for counter in TRAVERSAL_COUNTERS:
-                assert getattr(stats_block, counter) == getattr(
-                    stats_node, counter
+                assert getattr(stats_numpy, counter) == getattr(
+                    stats_python, counter
                 ), counter
-
-    def test_traversal_env_override(self, monkeypatch):
-        monkeypatch.setenv(TRAVERSAL_ENV, "node")
-        assert default_filter_traversal() == TRAVERSAL_NODE
-        assert (
-            QueryPlan.for_method("voronoi").resolved().filter_traversal
-            == TRAVERSAL_NODE
-        )
-        monkeypatch.setenv(TRAVERSAL_ENV, "block")
-        assert default_filter_traversal() == TRAVERSAL_BLOCK
-        monkeypatch.setenv(TRAVERSAL_ENV, "typo")
-        assert default_filter_traversal() == TRAVERSAL_BLOCK
-        monkeypatch.delenv(TRAVERSAL_ENV)
-        assert default_filter_traversal() == TRAVERSAL_BLOCK
-
-    def test_invalid_traversal_rejected(self):
-        with pytest.raises(ValueError):
-            replace(
-                QueryPlan.for_method("voronoi"), filter_traversal="bogus"
-            ).resolved()
 
 
 class TestBlockKernels:
@@ -210,7 +178,6 @@ class TestChunkedRouteMatrix:
             if block.route_count > 1:
                 assert len(block.points) <= 16
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy verification path")
     def test_chunked_answers_identical(
         self, mini_city, mini_transitions, block_queries, monkeypatch
     ):

@@ -4,10 +4,6 @@ Every batch kernel in :mod:`repro.geometry.kernels` must agree *exactly*
 (not approximately) with the scalar predicate it replaces — the execution
 engine relies on that for element-wise identical batch answers.  Inputs are
 random via hypothesis, including degenerate boxes and coincident points.
-
-When numpy is unavailable the kernels fall back to loops over the scalar
-predicates, so these tests still pass (they then mostly assert the fallback
-plumbing); the numpy-only verification kernel test is skipped.
 """
 
 import math
@@ -22,7 +18,6 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.halfspace import (
     bisector_halfplane,
     filtering_space_contains_bbox,
-    filtering_space_contains_point,
 )
 from repro.geometry.point import squared_euclidean
 from repro.geometry.voronoi import voronoi_prunes_bbox
@@ -67,65 +62,43 @@ def test_points_min_dist_matches_query_distance(pts, query):
 
 
 @settings(max_examples=60, deadline=None)
-@given(box_tuple=box(), filters=points, query=points)
-def test_halfplane_tensor_matches_contains_bbox(box_tuple, filters, query):
-    tensor = kernels.box_halfplane_tensor(
-        box_tuple, kernels.pack_points(filters), kernels.pack_points(query)
-    )
-    bbox = as_bbox(box_tuple)
-    for i, filter_point in enumerate(filters):
-        for j, query_point in enumerate(query):
-            expected = bisector_halfplane(query_point, filter_point).contains_bbox(bbox)
-            assert bool(tensor[i][j]) == expected
-
-
-@settings(max_examples=40, deadline=None)
 @given(bxs=boxes, filters=points, query=points)
-def test_block_tensor_matches_single_box_tensor(bxs, filters, query):
-    flt = kernels.pack_points(filters)
-    qry = kernels.pack_points(query)
-    block = kernels.boxes_halfplane_tensor(kernels.pack_boxes(bxs), flt, qry)
+def test_block_tensor_matches_contains_bbox(bxs, filters, query):
+    """Entry ``[b, i, j]`` is the scalar half-plane test, and each ``[b, i]``
+    row reduced over the query is Definition 6's filtering-space test."""
+    tensor = kernels.boxes_halfplane_tensor(
+        kernels.pack_boxes(bxs), kernels.pack_points(filters), kernels.pack_points(query)
+    )
     for b, box_tuple in enumerate(bxs):
-        single = kernels.box_halfplane_tensor(box_tuple, flt, qry)
-        for i in range(len(filters)):
-            for j in range(len(query)):
-                assert bool(block[b][i][j]) == bool(single[i][j])
+        bbox = as_bbox(box_tuple)
+        for i, filter_point in enumerate(filters):
+            for j, query_point in enumerate(query):
+                expected = bisector_halfplane(query_point, filter_point).contains_bbox(bbox)
+                assert bool(tensor[b, i, j]) == expected
+            assert bool(tensor[b, i].all()) == filtering_space_contains_bbox(
+                bbox, filter_point, query
+            )
 
 
 @settings(max_examples=60, deadline=None)
-@given(box_tuple=box(), filters=points, query=points)
-def test_dominators_match_filtering_space(box_tuple, filters, query):
-    all_q, _ = kernels.dominators_of_box(
-        box_tuple, kernels.pack_points(filters), kernels.pack_points(query)
-    )
-    bbox = as_bbox(box_tuple)
-    for filter_point, got in zip(filters, all_q):
-        assert bool(got) == filtering_space_contains_bbox(bbox, filter_point, query)
-
-
-@settings(max_examples=60, deadline=None)
-@given(box_tuple=box(), route=st.lists(point, min_size=2, max_size=5), query=points)
-def test_route_domination_matches_voronoi_predicate(box_tuple, route, query):
-    flt = kernels.pack_points(route)
-    qry = kernels.pack_points(query)
-    tensor = kernels.box_halfplane_tensor(box_tuple, flt, qry)
-    got = kernels.route_dominates_box(tensor, list(range(len(route))))
-    assert got == voronoi_prunes_bbox(as_bbox(box_tuple), route, query)
-
-
-@settings(max_examples=60, deadline=None)
-@given(pts=points, filter_point=point, query=points)
-def test_points_in_filtering_space_matches_scalar(pts, filter_point, query):
-    mask = kernels.points_in_filtering_space(
-        kernels.pack_points(pts), filter_point, kernels.pack_points(query)
-    )
-    for pt, got in zip(pts, mask):
-        assert bool(got) == filtering_space_contains_point(pt, filter_point, query)
-
-
-@pytest.mark.skipif(
-    not kernels.numpy_available(), reason="verification kernel is numpy-only"
+@given(
+    bxs=boxes,
+    others=st.lists(point, max_size=3),
+    route=st.lists(point, min_size=2, max_size=5),
+    query=points,
 )
+def test_route_domination_matches_voronoi_predicate(bxs, others, route, query):
+    """The block Voronoi test picks one route's rows out of a filter set
+    that holds other routes' points too."""
+    tensor = kernels.boxes_halfplane_tensor(
+        kernels.pack_boxes(bxs), kernels.pack_points(others + route), kernels.pack_points(query)
+    )
+    rows = list(range(len(others), len(others) + len(route)))
+    verdicts = kernels.routes_dominate_boxes(tensor, rows)
+    for box_tuple, got in zip(bxs, verdicts):
+        assert bool(got) == voronoi_prunes_bbox(as_bbox(box_tuple), route, query)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     pts=points,
@@ -196,9 +169,6 @@ def route_distance_sq(p, route):
     return min(squared_euclidean(p, r) for r in route)
 
 
-@pytest.mark.skipif(
-    not kernels.numpy_available(), reason="verification kernel is numpy-only"
-)
 @settings(max_examples=80, deadline=None)
 @given(
     pts=st.lists(extreme_point, min_size=0, max_size=9),
@@ -278,9 +248,6 @@ def test_route_kernels_match_scalar_reference(pts, blocks, query, k, budget):
     assert [float(r) for r in radii] == expected_radii
 
 
-@pytest.mark.skipif(
-    not kernels.numpy_available(), reason="verification kernel is numpy-only"
-)
 @pytest.mark.parametrize(
     "point_count, widths, budget, expected",
     [
@@ -303,17 +270,111 @@ def test_route_chunks_stay_within_budget(point_count, widths, budget, expected):
 
 def test_resolve_backend():
     assert kernels.resolve_backend("python") == "python"
-    assert kernels.resolve_backend("auto") in ("numpy", "python")
+    assert kernels.resolve_backend("auto") == "numpy"
+    assert kernels.resolve_backend("numpy") == "numpy"
     with pytest.raises(ValueError):
         kernels.resolve_backend("fortran")
-    if not kernels.numpy_available():
-        with pytest.raises(ValueError):
-            kernels.resolve_backend("numpy")
+
+
+def test_numpy_available_and_backend_names_stay_importable():
+    """Benchmark scripts import these names to stamp and select backends."""
+    assert kernels.numpy_available() is True
+    assert kernels.BACKEND_PYTHON == "python"
+    assert kernels.resolve_backend(kernels.BACKEND_PYTHON) == kernels.BACKEND_PYTHON
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), coord), max_size=12),
+    probes=st.lists(point, max_size=4),
+)
+def test_lex_search_point_matches_sorted_lookup(pts, probes):
+    """Present points are found at their sorted row, absent ones give -1."""
+    rows = sorted(dict.fromkeys(pts))
+    packed = kernels.pack_points(rows)
+    row_of = {p: i for i, p in enumerate(rows)}
+    for x, y in rows + probes:
+        assert kernels.lex_search_point(packed, x, y) == row_of.get((x, y), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40),
+    capacity=st.integers(min_value=1, max_value=6),
+)
+def test_str_order_matches_two_pass_sort(keys, capacity):
+    """Stable sort by x, cut into slabs of whole groups, each stably sorted
+    by y; a single group keeps the input order."""
+    n = len(keys)
+    xs = [float(x) for x, _ in keys]
+    ys = [float(y) for _, y in keys]
+    if n <= capacity:
+        expected = list(range(n))
     else:
-        assert kernels.resolve_backend("numpy") == "numpy"
+        slab_size = math.ceil(math.sqrt(math.ceil(n / capacity))) * capacity
+        by_x = sorted(range(n), key=lambda i: xs[i])
+        expected = []
+        for start in range(0, n, slab_size):
+            expected += sorted(by_x[start : start + slab_size], key=lambda i: ys[i])
+    assert [int(i) for i in kernels.str_order(xs, ys, capacity)] == expected
 
 
-@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy packing path")
+@settings(max_examples=60, deadline=None)
+@given(bxs=boxes, data=st.data())
+def test_group_boxes_bounds_each_run(bxs, data):
+    cuts = set()
+    if len(bxs) > 1:
+        cuts = data.draw(st.sets(st.integers(min_value=1, max_value=len(bxs) - 1)))
+    starts = [0] + sorted(cuts)
+    grouped = kernels.group_boxes(kernels.pack_boxes(bxs), starts)
+    assert len(grouped) == len(starts)
+    for run, start, stop in zip(grouped, starts, starts[1:] + [len(bxs)]):
+        members = bxs[start:stop]
+        expected = (
+            min(b[0] for b in members),
+            min(b[1] for b in members),
+            max(b[2] for b in members),
+            max(b[3] for b in members),
+        )
+        assert tuple(float(v) for v in run) == expected
+
+
+def test_point_boxes_are_degenerate_boxes():
+    pts = [(1.5, -2.0), (0.0, 3.25), (-0.0, 5e-324)]
+    boxes_of_points = kernels.point_boxes(kernels.pack_points(pts))
+    expected = kernels.pack_boxes([(x, y, x, y) for x, y in pts])
+    assert boxes_of_points.tobytes() == expected.tobytes()
+    assert kernels.point_boxes(kernels.pack_points([])).shape == (0, 4)
+
+
+def test_gather_row_reads_the_offset_table():
+    flat = kernels.pack_i32([7, 8, 9, 4, 5])
+    offsets = kernels.pack_i32([0, 3, 3, 5])
+    rows = [kernels.id_list(kernels.gather_row(flat, offsets, i)) for i in range(3)]
+    assert rows == [[7, 8, 9], [], [4, 5]]
+
+
+def test_views_alias_the_buffer_read_only():
+    """The store attach primitives read the buffer in place and refuse writes."""
+    import numpy
+
+    floats = numpy.arange(6, dtype=numpy.float64)
+    ints = numpy.arange(4, dtype=numpy.int32)
+    buffer = bytearray(8 + floats.nbytes + ints.nbytes)
+    buffer[8 : 8 + floats.nbytes] = floats.tobytes()
+    buffer[8 + floats.nbytes :] = ints.tobytes()
+    f64 = kernels.view_f64(buffer, 8, 3, 2)
+    i32 = kernels.view_i32(buffer, 8 + floats.nbytes, 4)
+    assert kernels.id_list(f64) == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert kernels.id_list(i32) == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        f64[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        i32[0] = 9
+    buffer[8 + floats.nbytes : 8 + floats.nbytes + 4] = numpy.int32(42).tobytes()
+    assert int(i32[0]) == 42
+
+
 def test_pack_points_tuple_fast_path_matches_asarray():
     import numpy
 

@@ -24,6 +24,8 @@ import random
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
 from repro.data.workloads import QueryWorkload, make_city
@@ -31,12 +33,10 @@ from repro.engine.executor import execute, execute_batch
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.plan import QueryPlan
 from repro.engine.resilience import Deadline, DeadlineExceeded
-from repro.geometry.kernels import numpy_available
 from repro.model.route import Route
 from repro.model.transition import Transition
 
 K = 2
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 SEMANTICS = ["exists", "forall"]
 
 #: Per-query counters that measure work, not wall time.

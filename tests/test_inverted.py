@@ -1,8 +1,24 @@
 """Tests for the PList / NList inverted indexes."""
 
-from repro.index.inverted import NodeList, PointList, point_key
-from repro.index.rtree import RTree, RTreeEntry
+from repro.engine.columnar import walk_nodes
+from repro.geometry import kernels
+from repro.index.inverted import PointList, point_key
 from repro.index.route_index import RouteIndex
+from repro.model.route import Route
+
+
+def subtree_routes(node):
+    """Route ids of every RR-tree entry below ``node``, read off the leaves."""
+    routes = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current.is_leaf:
+            for entry in current.children:
+                routes.update(entry.payload)
+        else:
+            stack.extend(current.children)
+    return routes
 
 
 class TestPointKey:
@@ -58,44 +74,6 @@ class TestPointList:
         assert snapshot == {1}
 
 
-class TestNodeList:
-    def _tree(self):
-        entries = [
-            RTreeEntry((float(i), float(i % 3)), frozenset({i % 4}))
-            for i in range(40)
-        ]
-        return RTree.bulk_load(entries, max_entries=4, track_payload_union=True)
-
-    def test_build_matches_payload_union(self):
-        tree = self._tree()
-        nlist = NodeList.build(tree.root)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            assert nlist.routes_in_node(node) == node.payload_union
-            if not node.is_leaf:
-                stack.extend(node.children)
-
-    def test_root_contains_all_routes(self):
-        tree = self._tree()
-        nlist = NodeList.build(tree.root)
-        assert nlist.routes_in_node(tree.root) == {0, 1, 2, 3}
-
-    def test_unknown_node_falls_back_to_live_union(self):
-        tree = self._tree()
-        nlist = NodeList.build(tree.root)
-        # A tree rebuilt after the NList was built has nodes the NList has
-        # never seen; the fallback reads their own unions.
-        entries = list(tree.entries()) + [RTreeEntry((100.0, 100.0), frozenset({9}))]
-        rebuilt = RTree.bulk_load(entries, max_entries=4, track_payload_union=True)
-        assert nlist.routes_in_node(rebuilt.root) == {0, 1, 2, 3, 9}
-
-    def test_len_counts_nodes(self):
-        tree = self._tree()
-        nlist = NodeList.build(tree.root)
-        assert len(nlist) >= 1
-
-
 class TestRouteIndexInvertedIntegration:
     def test_crossover_from_shared_stops(self, toy_routes):
         index = RouteIndex(toy_routes, max_entries=4)
@@ -113,3 +91,33 @@ class TestRouteIndexInvertedIntegration:
         total_points = sum(len(r) for r in toy_routes)
         # Two stops are shared, so the RR-tree holds two fewer entries.
         assert index.distinct_point_count() == total_points - 2
+
+    def test_nlist_of_every_node_is_its_subtree_routes(self, toy_routes):
+        index = RouteIndex(toy_routes, max_entries=4)
+        nodes = list(walk_nodes(index.tree))
+        assert len(nodes) > 1
+        for node in nodes:
+            assert index.routes_in_node(node) == subtree_routes(node)
+
+    def test_union_ids_is_the_sorted_nlist(self, toy_routes):
+        index = RouteIndex(toy_routes, max_entries=4)
+        for node in walk_nodes(index.tree):
+            assert kernels.id_list(node.union_ids()) == sorted(node.payload_union)
+
+    def test_nlist_follows_route_updates(self, toy_routes):
+        index = RouteIndex(toy_routes, max_entries=4)
+        index.add_route(Route(9, [(100.0, 100.0), (4.0, 4.0)]))
+        assert index.routes_in_node(index.root) == {0, 1, 2, 3, 9}
+        assert index.crossover_routes((4.0, 4.0)) == {1, 3, 9}
+        index.remove_route(toy_routes.get(3))
+        assert index.routes_in_node(index.root) == {0, 1, 2, 9}
+        assert index.crossover_routes((4.0, 0.0)) == {0}
+        for node in walk_nodes(index.tree):
+            assert index.routes_in_node(node) == subtree_routes(node)
+
+    def test_decoded_nlist_matches_node_for_node(self, toy_routes):
+        index = RouteIndex(toy_routes, max_entries=4)
+        decoded = RouteIndex.from_columns(index.to_columns())
+        before = [node.payload_union for node in walk_nodes(index.tree)]
+        after = [decoded.routes_in_node(node) for node in walk_nodes(decoded.tree)]
+        assert after == before

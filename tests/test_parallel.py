@@ -14,6 +14,8 @@ import pickle
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
 from repro.engine.context import ExecutionContext
@@ -27,14 +29,11 @@ from repro.engine.parallel import (
     resolve_worker_count,
 )
 from repro.engine.plan import QueryPlan, VORONOI
-from repro.geometry.kernels import numpy_available
 from repro.planning.precompute import VertexRkNNTIndex
 
 K = 3
 QUERY_COUNT = 5
 WORKERS = 2
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -253,8 +252,7 @@ class TestContextPickling:
     def test_derived_caches_are_stripped(self, mini_city, mini_processor):
         context = mini_processor.engine_context
         # Warm both derived caches, then ship the context.
-        if numpy_available():
-            assert len(context.route_matrix().blocks) >= 1
+        assert len(context.route_matrix().blocks) >= 1
         mini_processor.query_batch(
             [[(2.0, 2.0), (3.0, 2.5)]], K, method=DIVIDE_CONQUER
         )

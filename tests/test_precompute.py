@@ -4,19 +4,18 @@ import math
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import RkNNTProcessor
 from repro.engine.executor import run_stages
 from repro.engine.plan import KNN_RADIUS, METHODS, QueryPlan
-from repro.geometry.kernels import numpy_available
 from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
 from repro.planning.graph import BusNetwork
 from repro.planning.precompute import VertexRkNNTIndex
 from repro.planning.shortest_path import dijkstra
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def oracle_tags(processor, position, k):
@@ -284,8 +283,6 @@ class TestRadiusSweepMatchesOracle:
 
 class TestRadiusTable:
     def test_backends_agree_bitwise(self, mini_processor):
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
         context = mini_processor.engine_context
         for k in (1, 3, 12, 13):
             python = context.knn_radii(k, "python")

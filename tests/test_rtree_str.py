@@ -9,16 +9,14 @@ oracle: two key-sorted passes per level (``_reference_partition``) and one
 
 Both must give the same tree: the same ``encode_tree`` columns (bitwise),
 node boxes that compare equal (``==``: ``minimum.reduceat`` may pick the
-other sign of a zero bound), and equal packed child boxes — on both
-kernel backends, for degenerate inputs (duplicates, ties, signed zeros,
-subnormals, huge magnitudes) and at the fill boundaries ``n`` in
-``{0, 1, M, M + 1}``.
+other sign of a zero bound), and equal packed child boxes — for
+degenerate inputs (duplicates, ties, signed zeros, subnormals, huge
+magnitudes) and at the fill boundaries ``n`` in ``{0, 1, M, M + 1}``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +26,6 @@ from repro.engine import columnar
 from repro.geometry import kernels
 from repro.geometry.bbox import BoundingBox
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
-
-BACKENDS = ["numpy", "python"]
 
 #: Values that make ties, duplicates and sign/subnormal edge cases likely.
 SPECIAL = [
@@ -51,19 +47,6 @@ coordinate = st.one_of(
     st.integers(min_value=-4, max_value=4).map(float),
 )
 point = st.tuples(coordinate, coordinate)
-
-
-@contextmanager
-def backend_forced(backend):
-    """Run the block on the named kernel backend."""
-    if backend == "numpy" and not kernels.numpy_available():
-        pytest.skip("numpy backend unavailable")
-    saved = kernels._FORCED_PURE
-    kernels._FORCED_PURE = backend == "python" or saved
-    try:
-        yield
-    finally:
-        kernels._FORCED_PURE = saved
 
 
 # ----------------------------------------------------------------------
@@ -172,67 +155,65 @@ def layouts(draw):
     return max_entries, points
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(layout=layouts(), track_payload_union=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_bulk_load_matches_reference(backend, layout, track_payload_union):
+def test_bulk_load_matches_reference(layout, track_payload_union):
     max_entries, points = layout
-    with backend_forced(backend):
-        tree = RTree.bulk_load(
-            _entries(points),
-            max_entries=max_entries,
-            track_payload_union=track_payload_union,
-        )
-        reference = reference_bulk_load(
-            _entries(points), max_entries, track_payload_union
-        )
-        assert_same_tree(tree, reference)
+    tree = RTree.bulk_load(
+        _entries(points),
+        max_entries=max_entries,
+        track_payload_union=track_payload_union,
+    )
+    reference = reference_bulk_load(_entries(points), max_entries, track_payload_union)
+    assert_same_tree(tree, reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(layout=layouts())
 @settings(max_examples=40, deadline=None)
-def test_bulk_load_points_matches_reference(backend, layout):
+def test_bulk_load_points_matches_reference(layout):
     max_entries, points = layout
     payloads = [frozenset({i}) for i in range(len(points))]
-    with backend_forced(backend):
-        tree = RTree.bulk_load_points(
-            points, payloads, max_entries=max_entries, track_payload_union=True
-        )
-        reference = reference_bulk_load(_entries(points), max_entries, True)
-        assert_same_tree(tree, reference)
-        for entry in tree.entries():
-            assert type(entry.point) is tuple
-            assert all(type(value) is float for value in entry.point)
+    tree = RTree.bulk_load_points(
+        points, payloads, max_entries=max_entries, track_payload_union=True
+    )
+    reference = reference_bulk_load(_entries(points), max_entries, True)
+    assert_same_tree(tree, reference)
+    for entry in tree.entries():
+        assert type(entry.point) is tuple
+        assert all(type(value) is float for value in entry.point)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("size", [0, 1, 8, 9, 64, 65, 600])
-def test_fill_boundaries(backend, size):
+#: ``(M, n)`` pairs at the fill boundaries ``n`` in ``{M, M + 1, M², M² + 1}``
+#: for the smallest fanout the tree accepts and for a wider one; plus the
+#: empty tree, a single entry, a deep tree, and for ``M = 4`` a full
+#: three-level tree (``M³``) and one entry more.
+FILL_BOUNDARIES = [(8, n) for n in (0, 1, 8, 9, 64, 65, 600)] + [
+    (4, n) for n in (4, 5, 16, 17, 64, 65)
+]
+
+
+@pytest.mark.parametrize("max_entries, size", FILL_BOUNDARIES)
+def test_fill_boundaries(max_entries, size):
     points = [((i * 7919) % 97 * 0.5, (i * 104729) % 89 * 0.25) for i in range(size)]
-    with backend_forced(backend):
-        tree = RTree.bulk_load(_entries(points), max_entries=8)
-        if size:
-            assert_packed_boxes_installed_on_numpy_only(tree)
-        assert_same_tree(tree, reference_bulk_load(_entries(points), 8, False))
+    tree = RTree.bulk_load(_entries(points), max_entries=max_entries)
+    if size:
+        assert_packed_boxes_installed(tree)
+    assert_same_tree(tree, reference_bulk_load(_entries(points), max_entries, False))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_decode_installs_the_same_boxes(backend):
+@pytest.mark.parametrize("max_entries", [4, 6, 16])
+def test_decode_installs_the_same_boxes(max_entries):
     points = [((i * 37) % 23 - 11.0, -0.0 if i % 7 == 0 else float(i % 5)) for i in range(200)]
-    with backend_forced(backend):
-        tree = RTree.bulk_load(_entries(points), max_entries=6)
-        decoded = columnar.decode_tree(
-            columnar.encode_tree(tree, columnar.PAYLOAD_ROUTE)
-        )
-        assert_packed_boxes_installed_on_numpy_only(decoded)
-        assert_same_tree(decoded, reference_bulk_load(_entries(points), 6, False))
+    tree = RTree.bulk_load(_entries(points), max_entries=max_entries)
+    decoded = columnar.decode_tree(columnar.encode_tree(tree, columnar.PAYLOAD_ROUTE))
+    assert_packed_boxes_installed(decoded)
+    assert_same_tree(decoded, reference_bulk_load(_entries(points), max_entries, False))
 
 
-def assert_packed_boxes_installed_on_numpy_only(tree):
-    """Bulk load and decode install every node's packed child boxes on the
-    numpy backend; off numpy they stay lazy, yet read the same."""
+def assert_packed_boxes_installed(tree):
+    """Bulk load and decode install every node's packed child boxes, and
+    they read the same as packing the node's child boxes afresh."""
     for node in columnar.walk_nodes(tree):
-        assert (node.packed_boxes is not None) == kernels.numpy_available()
+        assert node.packed_boxes is not None
         expected = kernels.pack_boxes(node.child_box_tuples())
         assert kernels.id_list(node.packed_child_boxes()) == kernels.id_list(expected)

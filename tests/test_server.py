@@ -32,6 +32,8 @@ import time
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.cli import LineClient
 from repro.core.rknnt import METHODS, RkNNTProcessor, VORONOI
 from repro.engine import faults, protocol
@@ -43,13 +45,11 @@ from repro.engine.server import (
     server_max_batch,
     server_window_ms,
 )
-from repro.geometry.kernels import numpy_available
 from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
 from repro.model.transition import Transition
 
 K = 3
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture(autouse=True)
@@ -335,9 +335,6 @@ class TestServerBasics:
         finally:
             processor.close()
 
-    @pytest.mark.skipif(
-        not numpy_available(), reason="the store needs the numpy backend"
-    )
     def test_store_booted_server_warns_once_that_updates_are_not_durable(
         self, tmp_path, caplog
     ):

@@ -17,12 +17,13 @@ import time
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import METHODS, RkNNTProcessor, SERVING_POOL_ENV
 from repro.data.checkins import TransitionGenerator
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.plan import QueryPlan
-from repro.geometry.kernels import numpy_available
 from repro.model.route import Route
 from repro.model.transition import Transition
 
@@ -30,7 +31,6 @@ K = 3
 QUERY_COUNT = 4
 WORKERS = 2
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: Brute-force oracle answers, cached per (query, semantics) — the oracle
 #: does not depend on method/backend, so the 12-way differential sweep

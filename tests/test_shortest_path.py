@@ -1,6 +1,8 @@
 """Tests for Dijkstra, Floyd–Warshall, Yen's kSP and bounded path enumeration."""
 
+import heapq
 import math
+from array import array
 
 import networkx as nx
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.workloads import make_city
-from repro.geometry.kernels import numpy_available
+from repro.geometry import kernels
 from repro.planning.graph import BusNetwork
 from repro.planning.shortest_path import (
     all_pairs_shortest_distances,
@@ -19,8 +21,6 @@ from repro.planning.shortest_path import (
     shortest_path,
     yen_k_shortest_paths,
 )
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture
@@ -171,9 +171,9 @@ def sparse_networks(draw):
     return network, ids
 
 
-def assert_rows_equal_dijkstra(network, sources, backend):
+def assert_rows_equal_dijkstra(network, sources):
     """Every entry of ``M_ψ`` is :func:`dijkstra`'s float, bit for bit."""
-    column_of, rows = shortest_distance_rows(network, sources, backend=backend)
+    column_of, rows = shortest_distance_rows(network, sources)
     assert len(rows) == len(sources)
     for source, row in zip(sources, rows):
         distances, _ = dijkstra(network, source)
@@ -182,16 +182,30 @@ def assert_rows_equal_dijkstra(network, sources, backend):
     return column_of, rows
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture(
+    scope="class",
+    params=[1, 3, kernels.SHORTEST_PATH_BLOCK],
+    ids=lambda block: f"block{block}",
+)
+def source_block(request):
+    """Relax this many sources together: one at a time, a size that leaves a
+    partial last block, and the default (one block for these small graphs)."""
+    saved = kernels.SHORTEST_PATH_BLOCK
+    kernels.SHORTEST_PATH_BLOCK = request.param
+    yield request.param
+    kernels.SHORTEST_PATH_BLOCK = saved
+
+
+@pytest.mark.usefixtures("source_block")
 class TestShortestDistanceRows:
     @settings(max_examples=80, deadline=None)
     @given(case=sparse_networks(), data=st.data())
-    def test_every_entry_equals_dijkstra_exactly(self, backend, case, data):
+    def test_every_entry_equals_dijkstra_exactly(self, case, data):
         network, ids = case
         sources = data.draw(
             st.one_of(st.none(), st.lists(st.sampled_from(ids), max_size=len(ids)))
         )
-        column_of, rows = shortest_distance_rows(network, sources, backend=backend)
+        column_of, rows = shortest_distance_rows(network, sources)
         expected_sources = ids if sources is None else sources
         assert sorted(column_of) == sorted(ids)
         assert len(rows) == len(expected_sources)
@@ -202,61 +216,100 @@ class TestShortestDistanceRows:
 
     @settings(max_examples=40, deadline=None)
     @given(case=sparse_networks())
-    def test_dict_view_equals_dijkstra_exactly(self, backend, case):
+    def test_dict_view_equals_dijkstra_exactly(self, case):
         network, ids = case
         expected = {source: dijkstra(network, source)[0] for source in ids}
-        assert all_pairs_shortest_distances(network, backend=backend) == expected
+        assert all_pairs_shortest_distances(network) == expected
 
-    def test_unknown_source_raises(self, backend, grid_network):
+    def test_unknown_source_raises(self, grid_network):
         with pytest.raises(KeyError):
-            shortest_distance_rows(grid_network, [0, 999], backend=backend)
+            shortest_distance_rows(grid_network, [0, 999])
 
-    def test_duplicate_sources_repeat_rows(self, backend, grid_network):
-        _, rows = assert_rows_equal_dijkstra(grid_network, [5, 0, 5, 5], backend)
+    def test_duplicate_sources_repeat_rows(self, grid_network):
+        _, rows = assert_rows_equal_dijkstra(grid_network, [5, 0, 5, 5])
         assert rows[0] == rows[2] == rows[3]
         assert rows[0] is not rows[2]
 
-    def test_empty_sources(self, backend, grid_network):
-        column_of, rows = shortest_distance_rows(grid_network, [], backend=backend)
+    def test_empty_sources(self, grid_network):
+        column_of, rows = shortest_distance_rows(grid_network, [])
         assert sorted(column_of) == sorted(grid_network.vertices())
         assert rows == []
         empty = BusNetwork()
-        assert shortest_distance_rows(empty, backend=backend) == ({}, [])
+        assert shortest_distance_rows(empty) == ({}, [])
 
-    def test_disconnected_components(self, backend):
+    def test_disconnected_components(self):
         network = BusNetwork()
         for vertex in range(6):
             network.add_vertex(vertex, (float(vertex), 0.0))
         network.add_edge(0, 1)
         network.add_edge(1, 2)
         network.add_edge(3, 4)  # vertex 5 is isolated
-        column_of, rows = assert_rows_equal_dijkstra(network, list(range(6)), backend)
+        column_of, rows = assert_rows_equal_dijkstra(network, list(range(6)))
         assert math.isinf(rows[0][column_of[3]])
         assert rows[5][column_of[5]] == 0.0
         assert [d for d in rows[5] if d != math.inf] == [0.0]
 
-    def test_zero_weight_edges(self, backend):
+    def test_zero_weight_edges(self):
         network = BusNetwork()
         for vertex in range(5):
             network.add_vertex(vertex, (float(vertex), 0.0))
         for u, v, weight in [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.1), (0, 3, 0.1), (3, 4, 0.0)]:
             network.add_edge(u, v, weight)
-        column_of, rows = assert_rows_equal_dijkstra(network, list(range(5)), backend)
+        column_of, rows = assert_rows_equal_dijkstra(network, list(range(5)))
         assert rows[0][column_of[2]] == 0.0
         assert rows[0][column_of[4]] == 0.1
 
 
 
-@pytest.mark.parametrize("preset", ["la", "nyc"])
-def test_preset_networks_agree_bitwise_on_every_backend(preset):
-    """On the benchmark cities the python rows equal :func:`dijkstra` and
-    every other backend's rows equal the python rows, byte for byte."""
+@pytest.mark.parametrize("preset", ["la", "nyc", "mini"])
+def test_preset_networks_equal_dijkstra_bitwise(preset):
+    """On the benchmark cities every row of ``M_ψ`` equals :func:`dijkstra`,
+    byte for byte."""
     network = make_city(preset)[0].network
     sources = list(network.vertices())
-    _, reference = assert_rows_equal_dijkstra(network, sources, "python")
-    for backend in BACKENDS[1:]:
-        _, rows = shortest_distance_rows(network, backend=backend)
-        assert [row.tobytes() for row in rows] == [row.tobytes() for row in reference]
+    column_of, rows = shortest_distance_rows(network, sources)
+    for source, row in zip(sources, rows):
+        distances, _ = dijkstra(network, source)
+        expected = array("d", [distances.get(vertex, math.inf) for vertex in column_of])
+        assert row.tobytes() == expected.tobytes()
+
+
+def heap_dijkstra(adjacency, source):
+    """Textbook Dijkstra over a directed index adjacency list."""
+    distances = [math.inf] * len(adjacency)
+    distances[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        distance, vertex = heapq.heappop(heap)
+        if distance > distances[vertex]:
+            continue
+        for head, weight in adjacency[vertex]:
+            candidate = distance + weight
+            if candidate < distances[head]:
+                distances[head] = candidate
+                heapq.heappush(heap, (candidate, head))
+    return distances
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multi_source_distances_on_directed_graphs(data):
+    """The kernel follows edges one way only, and parallel edges keep the
+    lightest weight: each row equals a heap Dijkstra's, bit for bit."""
+    count = data.draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=count - 1)
+    weight = st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 1.0, 2.5])
+    adjacency = [[] for _ in range(count)]
+    for tail, head, w in data.draw(
+        st.lists(st.tuples(vertex, vertex, weight), max_size=3 * count)
+    ):
+        adjacency[tail].append((head, w))
+    sources = data.draw(st.lists(vertex, max_size=2 * count))
+    rows = kernels.multi_source_distances(adjacency, sources)
+    assert len(rows) == len(sources)
+    for source, row in zip(sources, rows):
+        expected = array("d", heap_dijkstra(adjacency, source))
+        assert row.tobytes() == expected.tobytes()
 
 
 class TestYen:

@@ -20,12 +20,13 @@ import struct
 
 import pytest
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import METHODS, RkNNTProcessor
 from repro.engine import faults
 from repro.engine import store as store_module
 from repro.engine.resilience import StoreError
-from repro.geometry.kernels import numpy_available
 from repro.model.route import Route
 from repro.model.transition import Transition
 
@@ -33,19 +34,10 @@ K = 3
 QUERY_COUNT = 4
 WORKERS = 2
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(),
-    reason="the store packs/maps columns with the numpy backend",
-)
-
 
 @pytest.fixture(scope="module")
 def packed(tmp_path_factory, mini_processor):
     """One packed store shared by the read-only tests: ``(path, handle)``."""
-    if not numpy_available():
-        pytest.skip("the store packs/maps columns with the numpy backend")
     path = str(tmp_path_factory.mktemp("store") / "mini.store")
     handle = store_module.save_indexes(
         path, mini_processor.route_index, mini_processor.transition_index
@@ -67,7 +59,6 @@ def _endpoint_sets(processor, queries, **kwargs):
     ]
 
 
-@needs_numpy
 class TestFormat:
     def test_save_is_byte_deterministic(self, tmp_path, mini_processor):
         paths = [str(tmp_path / name) for name in ("a.store", "b.store")]
@@ -134,7 +125,6 @@ def _corrupt(path: str, target: str, mode: str) -> None:
         handle.write(bytes(data))
 
 
-@needs_numpy
 class TestCorruption:
     """Every way the file can rot must raise a typed ``StoreError``."""
 
@@ -179,24 +169,6 @@ class TestCorruption:
         store_module.attach(handle).close()
 
 
-@pytest.mark.skipif(
-    numpy_available(), reason="exercises the no-numpy refusal path"
-)
-class TestPurePythonGating:
-    def test_save_requires_numpy(self, tmp_path, toy_processor):
-        with pytest.raises(StoreError):
-            store_module.save_indexes(
-                str(tmp_path / "x.store"),
-                toy_processor.route_index,
-                toy_processor.transition_index,
-            )
-
-    def test_open_requires_numpy(self, tmp_path):
-        with pytest.raises(StoreError):
-            store_module.open_store(str(tmp_path / "x.store"))
-
-
-@needs_numpy
 class TestLazyBoot:
     def test_from_store_defers_decoding(self, packed):
         path, _ = packed
@@ -230,7 +202,6 @@ class TestLazyBoot:
         assert [r.confirmed_endpoints for r in results] == expected
 
 
-@needs_numpy
 class TestStoreDifferential:
     """store-backed ≡ pickle-backed ≡ brute force, the full matrix."""
 
@@ -256,7 +227,6 @@ class TestStoreDifferential:
             assert result.transition_ids == oracle.transition_ids
 
 
-@needs_numpy
 class TestOldTransitionTreeMeta:
     """A store packed when the TR-tree still tracked payload unions."""
 
@@ -293,7 +263,6 @@ class TestOldTransitionTreeMeta:
                 assert result.transition_ids == oracle.transition_ids
 
 
-@needs_numpy
 class TestServingPoolSeeding:
     """Workers boot from the store handle, not a multi-megabyte pickle."""
 

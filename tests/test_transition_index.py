@@ -11,7 +11,6 @@ from repro.core.rknnt import RkNNTProcessor
 from repro.data.workloads import make_city
 from repro.engine import columnar
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.kernels import numpy_available
 from repro.index.rtree import RTreeNode
 from repro.index.transition_index import (
     DELTA_DELETE,
@@ -244,9 +243,6 @@ class TestOneTagPerLeaf:
         assert not clone.tree.track_payload_union
         _assert_one_tag_per_leaf(clone)
 
-    @pytest.mark.skipif(
-        not numpy_available(), reason="the store maps columns with numpy"
-    )
     def test_after_from_store_materialises(self, tmp_path):
         from repro.engine import store
 

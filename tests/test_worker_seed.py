@@ -23,16 +23,10 @@ from repro.engine.executor import run_stages
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.plan import QueryPlan
 from repro.engine.resilience import StoreError
-from repro.geometry.kernels import numpy_available
 from repro.model.route import Route
 
 K = 3
 QUERIES = [[(2.0, 2.0), (3.0, 2.5)], [(1.0, 4.0)]]
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="packed columns use the numpy backend"
-)
-
 
 @pytest.fixture()
 def fresh_processor(mini_city, mini_transitions):
@@ -41,8 +35,6 @@ def fresh_processor(mini_city, mini_transitions):
 
 @pytest.fixture(scope="module")
 def store_path(tmp_path_factory, mini_processor):
-    if not numpy_available():
-        pytest.skip("the store packs/maps columns with the numpy backend")
     path = str(tmp_path_factory.mktemp("seed") / "mini.store")
     store_module.save_indexes(
         path, mini_processor.route_index, mini_processor.transition_index
@@ -69,7 +61,7 @@ class TestColumnarSeed:
         context = fresh_processor.engine_context
         context.route_matrix()
         trees = (context.route_index.tree, context.transition_index.tree)
-        # Bulk load installs every node's packed child boxes (on numpy); the
+        # Bulk load installs every node's packed child boxes; the
         # pickle bytes are the same with them dropped, so none of them travel.
         for tree in trees:
             for node in columnar.walk_nodes(tree):
@@ -83,7 +75,6 @@ class TestColumnarSeed:
         clone = pickle.loads(shipped)
         assert clone._route_matrix is None
 
-    @needs_numpy
     def test_clone_rebuilds_the_route_matrix_bitwise(self, fresh_processor):
         import numpy
 
@@ -97,7 +88,6 @@ class TestColumnarSeed:
             assert ours.offsets == theirs.offsets
             assert ours.column_route_ids == theirs.column_route_ids
 
-    @needs_numpy
     def test_clone_repacks_equal_tree_boxes(self, fresh_processor):
         import numpy
 
@@ -153,7 +143,6 @@ class TestWorkerInitializer:
         assert parallel._WORKER_STORE_ERROR is None
         assert _answers(worker_context) == _answers(context)
 
-    @needs_numpy
     def test_store_seed_installs_a_store_backed_context(
         self, store_path, mini_processor
     ):
@@ -165,7 +154,6 @@ class TestWorkerInitializer:
             mini_processor.engine_context
         )
 
-    @needs_numpy
     def test_stale_handle_falls_back_to_the_pickle(
         self, tmp_path, store_path, fresh_processor
     ):
@@ -180,7 +168,6 @@ class TestWorkerInitializer:
         assert isinstance(parallel._WORKER_STORE_ERROR, StoreError)
         assert _answers(parallel._worker_context()) == _answers(context)
 
-    @needs_numpy
     def test_stale_handle_alone_surfaces_a_typed_error(
         self, tmp_path, store_path
     ):
@@ -196,7 +183,6 @@ class TestWorkerInitializer:
             parallel._worker_context()
         assert excinfo.value.context["path"] == missing
 
-    @needs_numpy
     def test_injected_attach_fault_is_recorded_not_raised(self, store_path):
         handle = store_module.open_handle(store_path)
         with faults.injected("store_attach:count=1") as runtime:
@@ -221,7 +207,6 @@ class TestSeedChoice:
             assert executor.store_seeds == 0
             assert executor.last_seed_nbytes == context.reseed_payload_nbytes()
 
-    @needs_numpy
     def test_store_context_ships_the_handle(self, store_path):
         context = RkNNTProcessor.from_store(store_path).engine_context
         with ShardedExecutor(context, workers=2) as executor:
@@ -234,7 +219,6 @@ class TestSeedChoice:
                 )
             )
 
-    @needs_numpy
     def test_route_churn_retires_the_handle(self, store_path):
         processor = RkNNTProcessor.from_store(store_path)
         processor.add_route(
@@ -248,7 +232,6 @@ class TestSeedChoice:
         with ShardedExecutor(context, workers=2) as executor:
             assert executor._store_seed_handle() is None
 
-    @needs_numpy
     def test_failed_store_seed_is_sticky_until_close(self, store_path):
         context = RkNNTProcessor.from_store(store_path).engine_context
         executor = ShardedExecutor(context, workers=2)

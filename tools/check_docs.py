@@ -51,7 +51,7 @@ ENV_ROW_RE = re.compile(r"^\|\s*`(RKNNT_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
 
 #: Ceiling on the ``RKNNT_*`` knobs ``src/`` may read.  Lower it when a knob
 #: goes; never raise it.
-MAX_ENV_KNOBS = 14
+MAX_ENV_KNOBS = 12
 
 
 def doc_files() -> List[str]:
