@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from repro.bench.parameters import DEFAULT_INTERVAL, DEFAULT_K, DEFAULT_QUERY_LENGTH
 from repro.bench.reporting import format_table
-from repro.core.filtering import FilterRefineEngine
+from repro.engine.context import ExecutionContext
+from repro.engine.executor import QueryExecutor
 
 
 def run_engine(processor, query, k, use_voronoi):
-    engine = FilterRefineEngine(
-        processor.route_index,
-        processor.transition_index,
+    engine = QueryExecutor(
+        ExecutionContext(processor.route_index, processor.transition_index),
         k,
         use_voronoi=use_voronoi,
+        backend="python",
     )
     engine.run(query)
     return engine.stats

@@ -9,8 +9,6 @@ the LA dataset.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.reporting import format_table
 
 

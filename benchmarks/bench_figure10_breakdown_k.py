@@ -15,7 +15,7 @@ from repro.bench.parameters import (
     K_VALUES,
 )
 from repro.bench.reporting import format_table
-from repro.core.rknnt import FILTER_REFINE, VORONOI
+from repro.core.rknnt import FILTER_REFINE
 
 
 def test_figure10_phase_breakdown_vs_k(benchmark, la_bundle, bench_scale, write_result):

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.bench.parameters import PSI_SE_VALUES
 from repro.bench.reporting import format_table
 from repro.planning.bruteforce import maxrknnt_bruteforce, maxrknnt_pre

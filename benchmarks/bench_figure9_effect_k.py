@@ -8,8 +8,6 @@ ordering on the aggregate times.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.harness import sweep_parameter
 from repro.bench.parameters import (
     DEFAULT_INTERVAL,

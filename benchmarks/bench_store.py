@@ -40,8 +40,6 @@ import os
 import pickle
 import time
 
-import pytest
-
 from repro.bench.harness import build_benchmark_city
 from repro.bench.reporting import append_trajectory, format_table, git_commit
 from repro.engine import store as store_module

@@ -20,7 +20,6 @@ import pytest
 
 from repro.bench.harness import build_benchmark_city
 from repro.bench.parameters import get_scale
-from repro.core.rknnt import RkNNTProcessor
 from repro.planning.maxrknnt import MaxRkNNTPlanner
 from repro.planning.precompute import VertexRkNNTIndex
 

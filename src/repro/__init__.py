@@ -44,12 +44,7 @@ from repro.core import (
     RkNNTResult,
     rknnt_query,
     rknnt_bruteforce,
-    rknnt_divide_conquer,
 )
-
-# Imported after repro.core: the engine's executor and core's strategy
-# wrappers reference each other's submodules, and core resolves the cycle
-# when it initialises first.
 from repro.engine import (
     ContinuousRkNNT,
     DeadlineExceeded,
@@ -88,7 +83,6 @@ __all__ = [
     "RkNNTResult",
     "rknnt_query",
     "rknnt_bruteforce",
-    "rknnt_divide_conquer",
     "RouteIndex",
     "TransitionIndex",
     "RTree",

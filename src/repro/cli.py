@@ -11,25 +11,18 @@ Eight sub-commands cover the typical workflows without writing any Python:
 ``query``
     Run one RkNNT query (or a ``--batch-file`` workload) against saved
     datasets and print the matching transitions.
-``serve``
-    Long-running serving loop: stream query batches (and interleaved
-    transition updates) from a file or stdin through one persistent worker
-    pool.
 ``server``
-    Network serving front-end: a TCP server speaking the newline-framed
-    JSON protocol of :mod:`repro.engine.protocol`, coalescing queries
-    from many concurrent client connections into micro-batches over one
-    persistent pool (:mod:`repro.engine.server`).
-``watch``
-    Register a standing query and replay a transition update log against
-    it, printing the incremental result deltas (the continuous-query
-    subsystem).
-``capacity``
-    Estimate the demand of every route in a saved dataset (the capacity
-    estimation use case).
-``plan``
-    Run a MaxRkNNT / MinRkNNT planning query between two stops of the
-    saved network.
+    Network serving front-end (:mod:`repro.engine.server`): one dispatcher
+    coalesces the queries of many TCP clients into micro-batches over one
+    persistent pool and applies transition updates between batches.
+``serve`` / ``watch``
+    Clients of that same dispatcher, in-process: ``serve`` streams queries
+    and interleaved transition updates from stdin or a file and prints each
+    answer; ``watch`` registers a standing query, replays an update log and
+    prints the pushed result deltas.
+``capacity`` / ``plan``
+    Per-route demand estimation, and MaxRkNNT / MinRkNNT route planning
+    between two stops of the saved network.
 
 Example session::
 
@@ -46,16 +39,19 @@ Example session::
     python -m repro.cli capacity --data-dir ./data --k 5 --top 10
     python -m repro.cli plan --data-dir ./data --k 5 --start 0 --end 17 --ratio 1.4
 
-The module also ships :class:`LineClient`, the reference client for the
-``server`` wire protocol (used by the test suite and ``bench_server.py``).
+:class:`LineClient`, the reference client of the ``server`` wire protocol,
+is re-exported here from :mod:`repro.engine.client`.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import collections
 import os
 import sys
-from typing import List, Optional, Sequence
+import time
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.reporting import format_table
 from repro.core.rknnt import METHODS, RkNNTProcessor, VORONOI
@@ -66,7 +62,11 @@ from repro.data.gtfs import (
     save_transitions_csv,
 )
 from repro.data.workloads import CITY_PRESETS, make_city
-from repro.engine.resilience import DeadlineExceeded, UpdateStreamError
+from repro.engine import protocol
+from repro.engine.client import LineClient  # noqa: F401 (re-exported)
+from repro.engine.protocol import ProtocolError, Request
+from repro.engine.resilience import RkNNTError, StoreError, UpdateStreamError
+from repro.engine.server import LocalConnection, RkNNTServer
 from repro.planning.graph import BusNetwork
 from repro.planning.maxrknnt import MAXIMIZE, MINIMIZE, MaxRkNNTPlanner
 from repro.planning.precompute import VertexRkNNTIndex
@@ -125,15 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="run one RkNNT query (or a batch of them)"
     )
     _add_data_arguments(query, store=True)
-    query.add_argument(
-        "--point",
-        dest="points",
-        type=float,
-        nargs=2,
-        action="append",
-        metavar=("X", "Y"),
-        help="query point; repeat for multi-point queries",
-    )
+    _add_point_argument(query, required=False)
     query.add_argument(
         "--batch-file",
         help=(
@@ -143,12 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
             "engine and per-query plus aggregate throughput is reported"
         ),
     )
-    query.add_argument(
-        "--method", choices=METHODS, default=VORONOI, help="evaluation strategy"
-    )
-    query.add_argument(
-        "--semantics", choices=("exists", "forall"), default="exists"
-    )
+    _add_query_arguments(query)
     query.add_argument(
         "--workers",
         type=int,
@@ -161,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="serving loop: stream query batches through a persistent pool",
+        help="serve a query/update stream from stdin or a file",
     )
     _add_data_arguments(serve, store=True)
     serve.add_argument(
@@ -175,51 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
             "ignored"
         ),
     )
-    serve.add_argument(
-        "--method", choices=METHODS, default=VORONOI, help="evaluation strategy"
-    )
-    serve.add_argument(
-        "--semantics", choices=("exists", "forall"), default="exists"
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "size of the persistent serving pool (kept alive across every "
-            "dispatched batch; 0 = answer in-process without a pool)"
-        ),
-    )
+    _add_query_arguments(serve)
+    _add_serving_arguments(serve)
     serve.add_argument(
         "--batch-size",
         type=int,
         default=8,
         help=(
-            "queries buffered per dispatch (a pending batch is also "
-            "flushed before any update is applied, preserving stream "
-            "order; default 8)"
-        ),
-    )
-    serve.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help=(
-            "multiprocessing start method of the serving pool (default: "
-            "RKNNT_START_METHOD, else fork on Linux / platform default; "
-            "answers are identical either way — the columnar context "
-            "pickle is start-method-agnostic)"
-        ),
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help=(
-            "per-batch time budget in milliseconds: a batch that misses it "
-            "is dropped with a typed error (hung workers are terminated, "
-            "the pool reseeds) and serving continues; default: "
-            "RKNNT_DEADLINE_MS, unset = no deadline"
+            "requests in flight, and so the largest batch (queries before "
+            "an update are always answered before it applies; default 8)"
         ),
     )
 
@@ -237,21 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="TCP port (0 = ephemeral; the bound port is printed on startup)",
     )
-    server.add_argument(
-        "--method", choices=METHODS, default=VORONOI, help="default query method"
-    )
-    server.add_argument(
-        "--semantics", choices=("exists", "forall"), default="exists"
-    )
-    server.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "size of the persistent serving pool batches dispatch through "
-            "(0 = answer in-process, still micro-batched)"
-        ),
-    )
+    _add_query_arguments(server)
+    _add_serving_arguments(server)
     server.add_argument(
         "--window-ms",
         type=float,
@@ -271,15 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     server.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help=(
-            "per-batch time budget; queries of a batch that misses it get "
-            "typed deadline_exceeded replies (default: RKNNT_DEADLINE_MS)"
-        ),
-    )
-    server.add_argument(
         "--queue-limit",
         type=int,
         default=None,
@@ -289,28 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
             "buffering (default: RKNNT_QUEUE_LIMIT, 0 = unbounded)"
         ),
     )
-    server.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method of the serving pool",
-    )
 
     watch = subparsers.add_parser(
         "watch",
         help="maintain a standing query over a replayed update log",
     )
     _add_data_arguments(watch)
-    watch.add_argument(
-        "--point",
-        dest="points",
-        type=float,
-        nargs=2,
-        action="append",
-        metavar=("X", "Y"),
-        required=True,
-        help="standing query point; repeat for multi-point queries",
-    )
+    _add_point_argument(watch, required=True)
     watch.add_argument(
         "--updates",
         required=True,
@@ -320,12 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'- ID' (delete it); blank lines and #-comments ignored"
         ),
     )
-    watch.add_argument(
-        "--method", choices=METHODS, default=VORONOI, help="evaluation strategy"
-    )
-    watch.add_argument(
-        "--semantics", choices=("exists", "forall"), default="exists"
-    )
+    _add_query_arguments(watch)
 
     capacity = subparsers.add_parser(
         "capacity", help="estimate the demand of every route"
@@ -376,6 +285,60 @@ def _add_data_arguments(
     parser.add_argument("--k", type=int, default=10, help="k of the RkNNT query")
 
 
+def _add_point_argument(parser: argparse.ArgumentParser, required: bool) -> None:
+    parser.add_argument(
+        "--point",
+        dest="points",
+        type=float,
+        nargs=2,
+        action="append",
+        metavar=("X", "Y"),
+        required=required,
+        help="query point; repeat for multi-point queries",
+    )
+
+
+def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--method", choices=METHODS, default=VORONOI, help="evaluation strategy"
+    )
+    parser.add_argument("--semantics", choices=("exists", "forall"), default="exists")
+
+
+def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
+    """The dispatcher options ``serve`` and ``server`` share."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help=(
+            "size of the persistent serving pool batches dispatch through "
+            "(0 = answer in-process, still batched)"
+        ),
+    )
+    parser.add_argument(
+        "--start-method",
+        choices=("fork", "spawn", "forkserver"),
+        default=None,
+        help=(
+            "multiprocessing start method of the serving pool (default: "
+            "RKNNT_START_METHOD, else fork on Linux; answers are identical "
+            "either way)"
+        ),
+    )
+    parser.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help=(
+            "per-batch time budget in milliseconds: the queries of a batch "
+            "that misses it get typed deadline_exceeded errors (hung workers "
+            "are terminated, the pool reseeds) and serving continues "
+            "(default: RKNNT_DEADLINE_MS, unset = no deadline)"
+        ),
+    )
+
+
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
@@ -394,8 +357,6 @@ def _boot_processor(args: argparse.Namespace) -> RkNNTProcessor:
     if store_path is not None:
         if args.data_dir is not None:
             raise SystemExit("error: --data-dir and --store are mutually exclusive")
-        from repro.engine.resilience import StoreError
-
         try:
             return RkNNTProcessor.from_store(store_path)
         except StoreError as error:
@@ -427,31 +388,80 @@ def command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_line(text: str) -> Dict[str, Any]:
+    """One line of the text format as a wire request without its ``id``.
+
+    ``x1 y1 x2 y2 ...`` is a query, ``+ ID OX OY DX DY`` inserts a
+    transition and ``- ID`` deletes one; commas count as spaces.  Raises
+    :class:`UpdateStreamError` naming what is wrong with the line.
+    """
+    fields = text.replace(",", " ").split()
+    if fields[0] in ("+", "-"):
+        try:
+            if fields[0] == "+" and len(fields) == 6:
+                x1, y1, x2, y2 = (float(value) for value in fields[2:])
+                transition = {
+                    "id": int(fields[1]),
+                    "origin": [x1, y1],
+                    "destination": [x2, y2],
+                }
+                return {"op": "insert", "transition": transition}
+            if fields[0] == "-" and len(fields) == 2:
+                return {"op": "delete", "transition_id": int(fields[1])}
+        except ValueError:
+            raise UpdateStreamError("non-numeric field") from None
+        raise UpdateStreamError("expected '+ ID OX OY DX DY' or '- ID'")
+    if len(fields) % 2 != 0:
+        raise UpdateStreamError(
+            f"expected an even number of coordinates, got {len(fields)}"
+        )
+    try:
+        values = [float(value) for value in fields]
+    except ValueError:
+        raise UpdateStreamError("non-numeric coordinate") from None
+    points = [values[i : i + 2] for i in range(0, len(values), 2)]
+    return {"op": "query", "points": points}
+
+
+def _stream_requests(
+    handle, name: str
+) -> Iterator[Tuple[str, Union[Request, RkNNTError]]]:
+    """``(where, request)`` for each line of a ``serve`` stream, ``watch``
+    log or batch file, validated by the decoder TCP requests go through.
+
+    Blank lines and #-comments are skipped; ``where`` is ``name:line``.  A
+    rejected line carries its typed error in place of the request.
+    """
+    for line_number, line in enumerate(handle, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        where = f"{name}:{line_number}"
+        try:
+            request = protocol.decode_object({"id": line_number, **_parse_line(text)})
+        except (UpdateStreamError, ProtocolError) as error:
+            yield where, error
+        else:
+            yield where, request
+
+
+def _warn_rejected(where: str, reason: object) -> None:
+    # A rejected line never stops a stream or a replay: log it and go on.
+    print(f"warning: {where}: rejected line ({reason})", file=sys.stderr)
+
+
 def _load_batch_file(path: str) -> List[List[tuple]]:
-    """Parse a batch file: one query per line, whitespace-separated floats."""
+    """Parse a batch file: one query line of the ``serve`` format per line."""
     if not os.path.exists(path):
         raise SystemExit(f"error: batch file {path} does not exist")
     queries: List[List[tuple]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            values = text.replace(",", " ").split()
-            if len(values) % 2 != 0:
-                raise SystemExit(
-                    f"error: {path}:{line_number}: expected an even number "
-                    f"of coordinates, got {len(values)}"
-                )
-            try:
-                floats = [float(value) for value in values]
-            except ValueError:
-                raise SystemExit(
-                    f"error: {path}:{line_number}: non-numeric coordinate"
-                )
-            queries.append(
-                [(floats[i], floats[i + 1]) for i in range(0, len(floats), 2)]
-            )
+        for where, request in _stream_requests(handle, path):
+            if isinstance(request, RkNNTError):
+                raise SystemExit(f"error: {where}: {request}")
+            if request.op != "query":
+                raise SystemExit(f"error: {where}: expected a query line")
+            queries.append(request.points)
     if not queries:
         raise SystemExit(f"error: batch file {path} contains no queries")
     return queries
@@ -460,7 +470,6 @@ def _load_batch_file(path: str) -> List[List[tuple]]:
 def command_pack(args: argparse.Namespace) -> int:
     """Pack saved datasets into one persistent store file."""
     from repro.engine import store as store_module
-    from repro.engine.resilience import StoreError
 
     routes, transitions = _load_datasets(args.data_dir)
     processor = RkNNTProcessor(routes, transitions, max_entries=args.max_entries)
@@ -536,8 +545,6 @@ def _reuse_stats_line(context) -> str:
 
 def _run_query_batch(args, processor, transitions) -> int:
     """Answer every query of ``--batch-file`` through the batched engine."""
-    import time
-
     queries = _load_batch_file(args.batch_file)
     started = time.perf_counter()
     results = processor.query_batch(
@@ -576,325 +583,127 @@ def _run_query_batch(args, processor, transitions) -> int:
 
 
 def command_serve(args: argparse.Namespace) -> int:
-    """Serving loop: stream queries (and updates) through a persistent pool.
+    """Stream serving: a stdin (or ``--input`` file) client of the server.
 
-    Unlike ``query --batch-file`` — which answers one workload and exits,
-    spawning a fresh worker pool per invocation — ``serve`` keeps one pool
-    alive for the whole stream:
-    every flushed batch dispatches to already-warm workers, and transition
-    updates are delta-synced into them instead of forcing respawns.
+    Each line becomes one protocol request for an in-process
+    :class:`~repro.engine.server.RkNNTServer`, at most ``--batch-size`` in
+    flight.  Its dispatcher does the rest, as for TCP clients: batches of
+    at most ``--batch-size`` queries, updates applied between batches in
+    stream order, typed replies for missed deadlines and bad updates.
     """
-    import time
-
-    from repro.model.transition import Transition
-
     if args.workers < 0:
         raise SystemExit("error: --workers must be non-negative")
     if args.batch_size <= 0:
         raise SystemExit("error: --batch-size must be positive")
     processor = _boot_processor(args)
-    transitions = processor.transitions
-
     if args.input == "-":
         stream = sys.stdin
-        close_stream = False
-    else:
-        if not os.path.exists(args.input):
-            raise SystemExit(f"error: input stream {args.input} does not exist")
+    elif os.path.exists(args.input):
         stream = open(args.input, "r", encoding="utf-8")
-        close_stream = True
-
-    stats = {
-        "batches": 0,
-        "queries": 0,
-        "matched": 0,
-        "updates": 0,
-        "rejected": 0,
-        "deadline_misses": 0,
-        "dropped": 0,
-    }
-    latencies: List[float] = []
-    batch: List[List[tuple]] = []
-
-    def reject(where: str, error: UpdateStreamError) -> None:
-        # A malformed line must never tear the loop (or its pool) down:
-        # log the typed rejection to stderr and keep serving.
-        stats["rejected"] += 1
-        print(f"warning: {where}: rejected line ({error})", file=sys.stderr)
-
-    def flush() -> None:
-        if not batch:
-            return
-        started = time.perf_counter()
-        try:
-            results = processor.query_batch(
-                batch,
-                args.k,
-                method=args.method,
-                semantics=args.semantics,
-                workers=args.workers,
-                deadline_ms=args.deadline_ms,
-            )
-        except DeadlineExceeded as error:
-            # The budget is a promise to the caller: the batch is dropped
-            # with a typed error (any hung workers were terminated; the
-            # next flush reseeds the pool) and the stream continues.
-            stats["deadline_misses"] += 1
-            stats["dropped"] += len(batch)
-            print(
-                f"warning: batch of {len(batch)} queries dropped: {error}",
-                file=sys.stderr,
-            )
-            batch.clear()
-            return
-        elapsed = time.perf_counter() - started
-        latencies.append(elapsed)
-        matched = sum(len(result) for result in results)
-        stats["batches"] += 1
-        stats["queries"] += len(batch)
-        stats["matched"] += matched
-        print(
-            f"batch {stats['batches']}: {len(batch)} queries -> "
-            f"{matched} transitions in {elapsed * 1000:.1f} ms "
-            f"({len(batch) / elapsed:.1f} q/s)"
-            if elapsed
-            else f"batch {stats['batches']}: {len(batch)} queries -> {matched}"
-        )
-        batch.clear()
-
-    def apply_update(fields: Sequence[str], where: str) -> None:
-        # Stream order matters: answer everything buffered so far against
-        # the pre-update dataset before mutating it.
-        flush()
-        try:
-            if fields[0] == "+" and len(fields) == 6:
-                transition_id = int(fields[1])
-                if transition_id in transitions:
-                    raise UpdateStreamError(
-                        f"transition id {transition_id} already present"
-                    )
-                processor.add_transition(
-                    Transition(
-                        transition_id,
-                        (float(fields[2]), float(fields[3])),
-                        (float(fields[4]), float(fields[5])),
-                    )
-                )
-            elif fields[0] == "-" and len(fields) == 2:
-                transition_id = int(fields[1])
-                if transition_id not in transitions:
-                    raise UpdateStreamError(
-                        f"transition id {transition_id} not in dataset"
-                    )
-                processor.remove_transition(transition_id)
-            else:
-                raise UpdateStreamError("expected '+ ID OX OY DX DY' or '- ID'")
-        except UpdateStreamError:
-            raise  # already typed (a ValueError subclass — re-raise first)
-        except ValueError:
-            raise UpdateStreamError("non-numeric field") from None
-        stats["updates"] += 1
-
-    def consume_stream() -> None:
-        for line_number, line in enumerate(stream, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            fields = text.replace(",", " ").split()
-            where = f"{args.input}:{line_number}"
-            if fields[0] in ("+", "-"):
-                try:
-                    apply_update(fields, where)
-                except UpdateStreamError as error:
-                    reject(where, error)
-                continue
-            if len(fields) % 2 != 0:
-                reject(
-                    where,
-                    UpdateStreamError(
-                        f"expected an even number of coordinates, got {len(fields)}"
-                    ),
-                )
-                continue
-            try:
-                floats = [float(value) for value in fields]
-            except ValueError:
-                reject(where, UpdateStreamError("non-numeric coordinate"))
-                continue
-            batch.append(
-                [(floats[i], floats[i + 1]) for i in range(0, len(floats), 2)]
-            )
-            if len(batch) >= args.batch_size:
-                flush()
-        flush()
-
+    else:
+        raise SystemExit(f"error: input stream {args.input} does not exist")
+    started = time.perf_counter()
     try:
-        if args.workers:
-            with processor.serving_pool(
-                workers=args.workers, start_method=args.start_method
-            ) as pool:
-                consume_stream()
-                pool_line = (
-                    f"pool: {pool.workers} workers (persistent, "
-                    f"seeded {pool.pools_spawned}x)"
-                )
-        else:
-            consume_stream()
-            pool_line = "pool: in-process (workers=0)"
+        counts, stats = asyncio.run(_serve_stream(args, processor, stream))
     finally:
         processor.close()
-        if close_stream:
+        if stream is not sys.stdin:
             stream.close()
+    elapsed = time.perf_counter() - started
 
-    if not stats["queries"] and not stats["updates"] and not stats["dropped"]:
+    if not counts["queries"] and not counts["updates"] and not counts["dropped"]:
         raise SystemExit(f"error: input stream {args.input} contains no work")
-    total = sum(latencies)
-    mean_ms = (total / len(latencies) * 1000.0) if latencies else 0.0
     print(
-        f"served {stats['queries']} queries in {stats['batches']} batches "
-        f"({stats['matched']} transitions matched, {stats['updates']} "
+        f"served {counts['queries']} queries in {stats['batches']} batches "
+        f"({counts['matched']} transitions matched, {counts['updates']} "
         f"updates applied)"
     )
-    if stats["rejected"]:
-        print(f"rejected {stats['rejected']} malformed lines (see stderr)")
-    if stats["deadline_misses"]:
+    if counts["rejected"]:
+        print(f"rejected {counts['rejected']} malformed lines (see stderr)")
+    if counts["dropped"]:
         print(
-            f"dropped {stats['dropped']} queries in {stats['deadline_misses']} "
+            f"dropped {counts['dropped']} queries in {stats['deadline_misses']} "
             f"batches that missed the {args.deadline_ms} ms deadline"
         )
-    print(
-        f"dispatch: {total * 1000:.1f} ms total, {mean_ms:.1f} ms/batch mean; "
-        f"{pool_line}"
+    pool = (
+        f"{stats['workers']} workers (persistent, seeded {stats['pools_spawned']}x)"
+        if stats["workers"]
+        else "in-process (workers=0)"
     )
+    print(f"stream: {elapsed * 1000:.1f} ms wall; pool: {pool}")
     return 0
 
 
-class LineClient:
-    """Reference client for the ``server`` wire protocol.
+async def _serve_stream(args, processor, stream) -> Tuple[Dict[str, int], dict]:
+    """Feed ``stream`` through the dispatcher; print each reply in order."""
+    server = RkNNTServer(
+        processor,
+        k=args.k,
+        method=args.method,
+        semantics=args.semantics,
+        workers=args.workers,
+        window_ms=0,
+        max_batch=args.batch_size,
+        deadline_ms=args.deadline_ms,
+        # The in-flight cap below is this client's backpressure.
+        queue_limit=0,
+        start_method=args.start_method,
+    )
+    connection = LocalConnection()
+    counts = dict.fromkeys(("queries", "matched", "updates", "rejected", "dropped"), 0)
+    in_flight: Deque[Tuple[str, str, "asyncio.Future[dict]"]] = collections.deque()
 
-    A deliberately boring, dependency-free *blocking* socket client — it
-    demonstrates that the protocol needs nothing beyond a line reader
-    and a JSON parser.  One instance per connection; safe to use from
-    one thread at a time.  Unsolicited ``watch`` events arriving between
-    replies are buffered and drained via :meth:`events`.
-    """
+    def reject(where: str, message: str) -> None:
+        counts["rejected"] += 1
+        _warn_rejected(where, message)
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        import socket
-
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
-        self._next_id = 0
-        self._events: List[dict] = []
-
-    # -- plumbing ------------------------------------------------------
-    def request(self, op: str, **fields) -> dict:
-        """Send one request and block for its reply (buffering events)."""
-        import json
-
-        self._next_id += 1
-        request_id = self._next_id
-        payload = {"id": request_id, "op": op}
-        payload.update(fields)
-        self._file.write((json.dumps(payload) + "\n").encode("utf-8"))
-        self._file.flush()
-        while True:
-            line = self._file.readline()
-            if not line:
-                raise ConnectionError("server closed the connection")
-            message = json.loads(line.decode("utf-8"))
-            if "event" in message:
-                self._events.append(message)
-                continue
-            if message.get("id") not in (request_id, None):
-                raise ConnectionError(
-                    f"out-of-order reply: sent id {request_id}, "
-                    f"got {message.get('id')}"
+    async def settle_oldest() -> None:
+        where, op, future = in_flight.popleft()
+        reply = await future
+        if not reply["ok"]:
+            error = reply["error"]
+            if error["code"] == "deadline_exceeded":
+                counts["dropped"] += 1
+                print(
+                    f"warning: {where}: query dropped ({error['message']})",
+                    file=sys.stderr,
                 )
-            return message
+            else:
+                reject(where, error["message"])
+        elif op == "query":
+            ids = reply["result"]["transitions"]
+            counts["queries"] += 1
+            counts["matched"] += len(ids)
+            print(
+                f"{where}: {len(ids)} transitions (version {reply['version']}): "
+                f"{' '.join(str(tid) for tid in ids) or '-'}"
+            )
+        else:
+            counts["updates"] += 1
 
-    def events(self) -> List[dict]:
-        """Drain the buffered unsolicited events (oldest first)."""
-        drained = self._events
-        self._events = []
-        return drained
-
-    def pump_events(self, minimum: int = 1, attempts: int = 50) -> List[dict]:
-        """Ping until at least ``minimum`` events arrived, then drain them.
-
-        Event pushes race the reply stream; a ``ping`` round-trip after
-        each check gives the server a serialization point to flush them.
-        """
-        for _ in range(attempts):
-            if len(self._events) >= minimum:
-                break
-            self.request("ping")
-        return self.events()
-
-    # -- typed helpers -------------------------------------------------
-    def ping(self) -> dict:
-        return self.request("ping")
-
-    def stats(self) -> dict:
-        return self.request("stats")["stats"]
-
-    def query(self, points, **fields) -> dict:
-        return self.request("query", points=[list(p) for p in points], **fields)
-
-    def insert(self, transition_id: int, origin, destination) -> dict:
-        return self.request(
-            "insert",
-            transition={
-                "id": transition_id,
-                "origin": list(origin),
-                "destination": list(destination),
-            },
-        )
-
-    def delete(self, transition_id: int) -> dict:
-        return self.request("delete", transition_id=transition_id)
-
-    def watch(self, points, **fields) -> dict:
-        return self.request("watch", points=[list(p) for p in points], **fields)
-
-    def unwatch(self, watch_id: int) -> dict:
-        return self.request("unwatch", watch=watch_id)
-
-    def send_raw(self, line: str) -> dict:
-        """Send a raw protocol line verbatim and read one reply."""
-        import json
-
-        self._file.write((line.rstrip("\n") + "\n").encode("utf-8"))
-        self._file.flush()
-        while True:
-            raw = self._file.readline()
-            if not raw:
-                raise ConnectionError("server closed the connection")
-            message = json.loads(raw.decode("utf-8"))
-            if "event" in message:
-                self._events.append(message)
+    await server.start_dispatcher()
+    try:
+        # Lines are read on the loop thread, so the dispatcher runs only
+        # while this client awaits a reply: batches fill to the cap, and no
+        # coalescing window is worth waiting for.
+        for where, request in _stream_requests(stream, args.input):
+            if isinstance(request, RkNNTError):
+                reject(where, str(request))
                 continue
-            return message
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "LineClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            in_flight.append((where, request.op, server.submit(request, connection)))
+            if len(in_flight) >= args.batch_size:
+                await settle_oldest()
+        while in_flight:
+            await settle_oldest()
+        stats = await server.submit(protocol.Request(id=0, op="stats"), connection)
+    finally:
+        await server.aclose()
+    return counts, stats["stats"]
 
 
 def command_server(args: argparse.Namespace) -> int:
     """Network serving front-end (see :mod:`repro.engine.server`)."""
-    import asyncio
     import signal
-
-    from repro.engine.server import RkNNTServer
 
     if args.workers < 0:
         raise SystemExit("error: --workers must be non-negative")
@@ -947,12 +756,7 @@ def command_server(args: argparse.Namespace) -> int:
         f"{stats['events_pushed']} events pushed, "
         f"{stats['connections']} connections"
     )
-    rejected = (
-        stats["rejected_protocol"]
-        + stats["rejected_updates"]
-        + stats["rejected_saturated"]
-    )
-    if rejected:
+    if stats["rejected_protocol"] + stats["rejected_updates"] + stats["rejected_saturated"]:
         print(
             f"rejected: {stats['rejected_protocol']} malformed requests, "
             f"{stats['rejected_updates']} bad updates, "
@@ -961,117 +765,94 @@ def command_server(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_update_log(path: str):
-    """Parse an update log: ``+ ID OX OY DX DY`` inserts, ``- ID`` deletes.
-
-    Malformed lines (bad op code, non-numeric fields, truncated tuples)
-    are rejected with a typed warning on stderr and the rest of the log
-    still replays; a log with *no* valid operation is an error.
-    """
-    if not os.path.exists(path):
-        raise SystemExit(f"error: update log {path} does not exist")
-    operations = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            fields = text.replace(",", " ").split()
-            where = f"{path}:{line_number}"
-            try:
-                if fields[0] == "+" and len(fields) == 6:
-                    operations.append(
-                        (
-                            "insert",
-                            int(fields[1]),
-                            (float(fields[2]), float(fields[3])),
-                            (float(fields[4]), float(fields[5])),
-                        )
-                    )
-                elif fields[0] == "-" and len(fields) == 2:
-                    operations.append(("delete", int(fields[1]), None, None))
-                else:
-                    raise UpdateStreamError(
-                        "expected '+ ID OX OY DX DY' or '- ID'"
-                    )
-            except ValueError:
-                print(
-                    f"warning: {where}: rejected line (non-numeric field)",
-                    file=sys.stderr,
-                )
-            except UpdateStreamError as error:
-                print(
-                    f"warning: {where}: rejected line ({error})", file=sys.stderr
-                )
-    if not operations:
-        raise SystemExit(f"error: update log {path} contains no operations")
-    return operations
-
-
 def command_watch(args: argparse.Namespace) -> int:
-    from repro.model.transition import Transition
+    """Replay an update log against a standing query, through the server.
 
+    The query is registered and the log replayed as insert/delete requests
+    of an in-process :class:`~repro.engine.server.RkNNTServer`; the delta
+    events it pushes are printed, folded into the standing result, and
+    that result is checked against a fresh query (exit 1 if they differ).
+    """
+    if not os.path.exists(args.updates):
+        raise SystemExit(f"error: update log {args.updates} does not exist")
+    updates = []
+    with open(args.updates, "r", encoding="utf-8") as handle:
+        for where, request in _stream_requests(handle, args.updates):
+            if not isinstance(request, RkNNTError) and request.op == "query":
+                request = UpdateStreamError("expected '+ ID OX OY DX DY' or '- ID'")
+            if isinstance(request, RkNNTError):
+                _warn_rejected(where, request)
+            else:
+                updates.append((where, request))
+    if not updates:
+        raise SystemExit(f"error: update log {args.updates} contains no operations")
     routes, transitions = _load_datasets(args.data_dir)
-    operations = _load_update_log(args.updates)
     processor = RkNNTProcessor(routes, transitions)
-    query_points = [tuple(point) for point in args.points]
-    subscription = processor.watch(
-        query_points, args.k, method=args.method, semantics=args.semantics
+    try:
+        return asyncio.run(_watch_log(args, processor, updates))
+    finally:
+        processor.close()
+
+
+async def _watch_log(args, processor, updates) -> int:
+    server = RkNNTServer(
+        processor, k=args.k, method=args.method, semantics=args.semantics, window_ms=0
     )
-    print(
-        f"watching RkNNT(|Q|={len(query_points)}, k={args.k}, "
-        f"method={args.method}, semantics={args.semantics}): "
-        f"{len(subscription.transition_ids)} transitions initially"
-    )
-    rows = []
-    for step, (kind, transition_id, origin, destination) in enumerate(operations):
-        # Semantically invalid operations are rejected like malformed
-        # lines: a typed warning, and the replay continues.
-        if kind == "insert":
-            if transition_id in transitions:
-                print(
-                    f"warning: update {step}: rejected (transition id "
-                    f"{transition_id} already present)",
-                    file=sys.stderr,
-                )
+    connection = LocalConnection()
+    points = [list(point) for point in args.points]
+
+    async def request(op: str) -> dict:
+        decoded = protocol.decode_object({"id": 0, "op": op, "points": points})
+        reply = await server.submit(decoded, connection)
+        if not reply["ok"]:
+            raise SystemExit(f"error: {op} failed: {reply['error']['message']}")
+        return reply
+
+    await server.start_dispatcher()
+    try:
+        registered = await request("watch")
+        standing = set(registered["result"]["transitions"])
+        print(
+            f"watching RkNNT(|Q|={len(points)}, k={args.k}, "
+            f"method={args.method}, semantics={args.semantics}): "
+            f"{len(standing)} transitions initially"
+        )
+        rows = []
+        for step, (where, update) in enumerate(updates):
+            reply = await server.submit(update, connection)
+            if not reply["ok"]:
+                _warn_rejected(where, reply["error"]["message"])
                 continue
-            processor.add_transition(Transition(transition_id, origin, destination))
-        else:
-            if transition_id not in transitions:
-                print(
-                    f"warning: update {step}: rejected (transition id "
-                    f"{transition_id} not in dataset)",
-                    file=sys.stderr,
+            if update.op == "insert":
+                op = f"+{update.transition[0]}"
+            else:
+                op = f"-{update.transition_id}"
+            for event in connection.events:
+                standing.update(event["added"])
+                standing.difference_update(event["removed"])
+                rows.append(
+                    {
+                        "step": step,
+                        "op": op,
+                        "cause": event["cause"],
+                        "added": ",".join(map(str, event["added"])) or "-",
+                        "removed": ",".join(map(str, event["removed"])) or "-",
+                    }
                 )
-                continue
-            processor.remove_transition(transition_id)
-        for delta in subscription.poll():
-            rows.append(
-                {
-                    "step": step,
-                    "op": f"{'+' if kind == 'insert' else '-'}{transition_id}",
-                    "cause": delta.cause,
-                    "added": ",".join(str(t) for t in sorted(delta.added)) or "-",
-                    "removed": (
-                        ",".join(str(t) for t in sorted(delta.removed)) or "-"
-                    ),
-                }
-            )
+            connection.events.clear()
+        fresh = await request("query")
+        stats = connection.watches[registered["watch"]].delta_stats
+    finally:
+        await server.aclose()
     if rows:
         print(format_table(rows, title="result deltas"))
     else:
         print("(no result deltas: the standing result never changed)")
-
-    standing = subscription.result()
-    fresh = processor.query(
-        query_points, args.k, method=args.method, semantics=args.semantics
-    )
-    if standing.transition_ids != fresh.transition_ids:
+    if standing != set(fresh["result"]["transitions"]):
         print("error: standing result diverged from a fresh query", file=sys.stderr)
         return 1
-    stats = subscription.delta_stats
     print(
-        f"replayed {len(operations)} updates: "
+        f"replayed {len(updates)} updates: "
         f"{stats.inserts_seen} inserts, {stats.deletes_seen} deletes; "
         f"{stats.endpoints_filtered} endpoints rejected by the filter test, "
         f"{stats.endpoints_verified} verified exactly, "

@@ -17,9 +17,7 @@ from repro.core.semantics import EXISTS, FORALL, Semantics
 from repro.core.stats import QueryStatistics
 from repro.core.result import RkNNTResult
 from repro.core.knn import k_nearest_routes, count_routes_within, query_distance
-from repro.core.filtering import FilterSet, FilterRefineEngine
 from repro.core.rknnt import RkNNTProcessor, rknnt_query
-from repro.core.divide_conquer import rknnt_divide_conquer
 from repro.core.baseline import rknnt_bruteforce, knn_of_point_bruteforce
 
 __all__ = [
@@ -31,11 +29,8 @@ __all__ = [
     "k_nearest_routes",
     "count_routes_within",
     "query_distance",
-    "FilterSet",
-    "FilterRefineEngine",
     "RkNNTProcessor",
     "rknnt_query",
-    "rknnt_divide_conquer",
     "rknnt_bruteforce",
     "knn_of_point_bruteforce",
 ]

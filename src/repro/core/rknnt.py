@@ -29,7 +29,6 @@ invalidate automatically through the indexes' version counters.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
@@ -76,28 +75,9 @@ __all__ = [
     "VORONOI",
     "QueryLike",
     "RkNNTProcessor",
-    "SERVING_POOL_ENV",
     "as_query_points",
     "rknnt_query",
-    "serving_pool_env_enabled",
 ]
-
-#: ``RKNNT_SERVING_POOL=1`` makes ``query_batch(workers=N)`` adopt a
-#: processor-owned *persistent* worker pool on first use instead of
-#: spawning (and tearing down) a per-call pool — the environment-variable
-#: twin of the :meth:`RkNNTProcessor.serving_pool` context manager.  The
-#: adopted pool lives until :meth:`RkNNTProcessor.close`.
-SERVING_POOL_ENV = "RKNNT_SERVING_POOL"
-
-
-def serving_pool_env_enabled() -> bool:
-    """True when ``RKNNT_SERVING_POOL`` requests a persistent pool."""
-    return os.environ.get(SERVING_POOL_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 def as_query_points(query: QueryLike) -> list:
@@ -148,9 +128,6 @@ class RkNNTProcessor:
         )
         self._continuous: Optional[ContinuousRkNNT] = None
         self._serving_pool = None
-        #: True when the live pool was adopted via ``RKNNT_SERVING_POOL``
-        #: (growable on demand) rather than opened by :meth:`serving_pool`.
-        self._serving_pool_adopted = False
 
     @classmethod
     def from_store(cls, source) -> "RkNNTProcessor":
@@ -182,7 +159,6 @@ class RkNNTProcessor:
         processor._excluded = set(context.route_index.excluded_route_ids)
         processor._continuous = None
         processor._serving_pool = None
-        processor._serving_pool_adopted = False
         return processor
 
     def __getattr__(self, name):
@@ -242,9 +218,7 @@ class RkNNTProcessor:
         ``RKNNT_START_METHOD`` (else ``fork`` on Linux, the platform
         default elsewhere) — the columnar context pickle makes serving
         start-method-agnostic, so ``spawn`` (macOS/Windows) answers
-        identically.  The pool is shut down on exit, crash included — the ``with`` form is what
-        guarantees cleanup.  For an open-ended lifetime use
-        ``RKNNT_SERVING_POOL=1`` plus :meth:`close`.
+        identically.  The pool is shut down on exit, crash included.
 
         ``queue_limit`` bounds in-flight shard tasks (admission control
         with :class:`~repro.engine.resilience.PoolSaturated`
@@ -265,35 +239,12 @@ class RkNNTProcessor:
             queue_limit=queue_limit,
         )
         self._serving_pool = pool
-        self._serving_pool_adopted = False
         try:
             yield pool
         finally:
             if self._serving_pool is pool:
                 self._serving_pool = None
             pool.close()
-
-    def _adopted_serving_pool(self, workers: int):
-        """The env-var flavour of :meth:`serving_pool`: lazily create and
-        retain a processor-owned pool when ``RKNNT_SERVING_POOL`` is set.
-
-        The adopted pool is sized by the first call, but never *caps* a
-        later one: a request for more workers than the pool holds replaces
-        it with a larger pool (a smaller request keeps the larger pool —
-        warm workers beat an exact count).
-        """
-        from repro.engine.parallel import ShardedExecutor
-
-        pool = self._serving_pool
-        if pool is not None and workers > pool.workers:
-            pool.close()
-            self._serving_pool = pool = None
-        if pool is None:
-            self._serving_pool = pool = ShardedExecutor(
-                self.engine_context, workers=workers
-            )
-        self._serving_pool_adopted = True
-        return pool
 
     def close(self) -> None:
         """Release long-lived resources (idempotent).
@@ -307,7 +258,6 @@ class RkNNTProcessor:
         if self._serving_pool is not None:
             self._serving_pool.close()
             self._serving_pool = None
-        self._serving_pool_adopted = False
         if self._continuous is not None:
             self._continuous.close()
 
@@ -449,8 +399,7 @@ class RkNNTProcessor:
             shards it across that many worker processes (``1`` is useful to
             exercise the worker path deterministically; real speedups need
             ``>= 2`` and spare CPUs).  While a persistent pool is live
-            (:meth:`serving_pool` scope, or adopted via
-            ``RKNNT_SERVING_POOL=1``), any ``workers >= 1`` call dispatches
+            (:meth:`serving_pool` scope), any ``workers >= 1`` call dispatches
             through it — reusing its warm workers — instead of spawning a
             per-call pool.  Worker sub-query caches are private, so the
             parent context's caches are neither used nor warmed.
@@ -485,30 +434,20 @@ class RkNNTProcessor:
         ]
         if workers:
             pool = self._serving_pool
-            if pool is not None and self._serving_pool_adopted:
-                # Adopted pools are growable: asking for more workers than
-                # the pool holds replaces it, a smaller ask reuses it.
-                pool = self._adopted_serving_pool(workers)
-            elif pool is None and serving_pool_env_enabled():
-                pool = self._adopted_serving_pool(workers)
             if pool is not None:
                 return pool.run(jobs, k, plan, semantics, deadline=deadline)
-            from repro.engine.parallel import (
-                ShardedExecutor,
-                available_cpu_count,
-                min_shard_batch,
-            )
+            from repro.engine import parallel
 
-            floor = min_shard_batch()
+            floor = parallel.MIN_SHARD_BATCH
             if floor == 0 or (
-                available_cpu_count() >= 2 and len(jobs) >= floor
+                parallel.available_cpu_count() >= 2 and len(jobs) >= floor
             ):
-                with ShardedExecutor(
+                with parallel.ShardedExecutor(
                     self.engine_context, workers=workers
                 ) as sharded:
                     return sharded.run(jobs, k, plan, semantics, deadline=deadline)
             # A per-call pool costs more than it buys without spare CPUs
-            # or a batch worth slicing (``RKNNT_MIN_SHARD_BATCH``) —
+            # or a batch worth slicing (``MIN_SHARD_BATCH``) —
             # answer serially and record the fallback.  Persistent pools
             # (handled above) are exempt: their setup cost is sunk.
             self.engine_context.shard_fallbacks += 1

@@ -9,7 +9,7 @@ Answering one RkNNT query needs nothing beyond the two indexes; answering a
   verification kernel (:func:`repro.geometry.kernels.count_closer_routes`)
   reduces over.  Building it is O(total route points); sharing it across a
   batch amortises that to nothing.  The matrix is *chunked by route blocks*
-  (``RKNNT_MATRIX_BLOCK_ROWS`` bounds the point rows per block).  What
+  (:data:`MATRIX_BLOCK_ROWS` bounds the point rows per block).  What
   bounds verification memory is the kernel, not the blocks: it reduces the
   candidates in row chunks of at most
   :data:`repro.geometry.kernels.ROUTE_CHUNK_ELEMENTS` distances, in two
@@ -47,7 +47,6 @@ and identical under the ``fork`` and ``spawn`` start methods.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.geometry import kernels
@@ -66,30 +65,11 @@ ConfirmedMap = Dict[int, FrozenSet[str]]
 #: distinct query points are far below the cap).
 SUBQUERY_CACHE_LIMIT = 100_000
 
-#: Environment knob bounding the number of flattened point rows per route
-#: block of the verification matrix.  Smaller blocks cap the peak size of
-#: the per-candidate distance matrix; the default keeps one block ~1.5 MB of
-#: float64 coordinates, far below any practical working set, while NYC-scale
-#: datasets split into many blocks instead of one giant array.
-MATRIX_BLOCK_ROWS_ENV = "RKNNT_MATRIX_BLOCK_ROWS"
-DEFAULT_MATRIX_BLOCK_ROWS = 100_000
-
-
-def matrix_block_rows() -> int:
-    """The configured route-block row bound (``RKNNT_MATRIX_BLOCK_ROWS``).
-
-    Invalid or non-positive values fall back to the default — a mistyped
-    tuning knob must never change answers or crash a query.
-    """
-    raw = os.environ.get(MATRIX_BLOCK_ROWS_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_MATRIX_BLOCK_ROWS
-        if value > 0:
-            return value
-    return DEFAULT_MATRIX_BLOCK_ROWS
+#: The number of flattened point rows per route block of the verification
+#: matrix.  One block is ~1.5 MB of float64 coordinates, far below any
+#: practical working set, while NYC-scale datasets split into many blocks
+#: instead of one giant array.
+MATRIX_BLOCK_ROWS = 100_000
 
 
 class RouteMatrixBlock:
@@ -136,7 +116,7 @@ class RouteMatrix:
     """The flattened verification matrix, chunked by route blocks.
 
     Each block covers a contiguous run of routes whose flattened points stay
-    within the ``RKNNT_MATRIX_BLOCK_ROWS`` bound (a single route longer than
+    within the :data:`MATRIX_BLOCK_ROWS` bound (a single route longer than
     the bound forms its own block — routes are never split, because the
     verification kernel reduces per route).  Every route appears in exactly
     one block, so per-block closer-route counts sum to the global count.
@@ -224,7 +204,7 @@ class ExecutionContext:
         self.subquery_misses = 0
         #: Batches that asked for a per-call worker pool but ran serially
         #: instead — fewer than two usable CPUs, or a batch smaller than
-        #: ``RKNNT_MIN_SHARD_BATCH`` (see ``engine/parallel.py``).
+        #: ``parallel.MIN_SHARD_BATCH``.
         self.shard_fallbacks = 0
 
     # ------------------------------------------------------------------
@@ -240,7 +220,7 @@ class ExecutionContext:
 
     def _build_route_matrix(self) -> RouteMatrix:
         excluded = self.route_index.excluded_route_ids
-        block_rows = matrix_block_rows()
+        block_rows = MATRIX_BLOCK_ROWS
         blocks: List[RouteMatrixBlock] = []
         flat: List[Tuple[float, float]] = []
         offsets: List[int] = []

@@ -1,7 +1,7 @@
 """The staged query executor: one pipeline behind all three methods.
 
-:class:`QueryExecutor` generalises the seed's ``FilterRefineEngine`` into a
-backend-parameterised pipeline (Algorithms 1–4 of the paper):
+:class:`QueryExecutor` is the backend-parameterised pipeline of Algorithms
+1–4 of the paper:
 
 * **filter** — best-first RR-tree traversal building the filtering set;
 * **prune** — TR-tree traversal discarding nodes and endpoints dominated by

@@ -1,8 +1,7 @@
 """The filtering set ``S_filter`` (Section 4.2.1) with packed array views.
 
-Moved here from ``repro.core.filtering`` (which re-exports it for backward
-compatibility) so the execution engine can own the packed representation the
-vectorized kernels consume without a circular import.
+The execution engine owns it because the vectorized kernels consume its
+packed representation.
 """
 
 from __future__ import annotations

@@ -334,32 +334,15 @@ def available_cpu_count() -> int:
 #: mistyped tuning knob must never change answers or crash a query).
 START_METHOD_ENV = "RKNNT_START_METHOD"
 
-#: ``RKNNT_MIN_SHARD_BATCH`` — the smallest batch worth spawning a
-#: per-call worker pool for.  ``query_batch(workers=N)`` answers smaller
-#: batches serially instead (and likewise whenever fewer than two CPUs
-#: are available — pool setup then costs more than it buys; the batch
-#: benchmark measured a 0.42x "speedup" on one CPU).  Persistent serving
-#: pools are exempt: their setup cost is already paid.  ``0`` disables
-#: the fallback entirely — including the CPU guard — forcing
-#: ``workers=N`` to be honoured (the differential tests use this to
-#: exercise the real pool path on single-CPU runners).  Unparseable
-#: values fall back to the default (a mistyped tuning knob must never
-#: change answers or crash a query).
-MIN_SHARD_BATCH_ENV = "RKNNT_MIN_SHARD_BATCH"
-DEFAULT_MIN_SHARD_BATCH = 2
-
-
-def min_shard_batch() -> int:
-    """The configured minimum batch size for per-call pool spawning."""
-    raw = os.environ.get(MIN_SHARD_BATCH_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_MIN_SHARD_BATCH
-        if value >= 0:
-            return value
-    return DEFAULT_MIN_SHARD_BATCH
+#: The smallest batch worth spawning a per-call worker pool for.
+#: ``query_batch(workers=N)`` answers smaller batches serially instead (and
+#: likewise whenever fewer than two CPUs are available — pool setup then
+#: costs more than it buys; the batch benchmark measured a 0.42x "speedup"
+#: on one CPU).  Persistent serving pools are exempt: their setup cost is
+#: already paid.  ``0`` disables the fallback entirely, CPU guard included;
+#: the differential tests patch it to 0 to exercise the real pool path on
+#: single-CPU runners.
+MIN_SHARD_BATCH = 2
 
 
 def _preferred_start_method() -> str:

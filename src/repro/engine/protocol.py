@@ -201,6 +201,16 @@ def decode_request(line: str) -> Request:
         obj = json.loads(line)
     except ValueError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
+    return decode_object(obj)
+
+
+def decode_object(obj: Any) -> Request:
+    """Validate one request that is already a JSON value, not a line.
+
+    :func:`decode_request` ends here after parsing; the CLI ``serve`` and
+    ``watch`` commands build the same objects from their text formats, so
+    every request meets one validator.
+    """
     if not isinstance(obj, dict):
         raise ProtocolError("request must be a JSON object")
     op = obj.get("op")

@@ -1,9 +1,11 @@
 """Asyncio network serving front-end: many clients, one pool.
 
-The CLI ``serve`` loop (PR 4/7) reads a *single* stream; the paper's
-serving experiments assume many simultaneous query and update clients
-against one live dataset.  This module multiplexes thousands of client
-connections onto the existing serving machinery:
+The paper's serving setting is one live dataset answering RkNNT queries
+between transition updates, for many simultaneous query and update
+clients.  This module multiplexes thousands of client connections onto
+the existing serving machinery, and is the one dispatcher of the
+package: the CLI ``serve`` (a stdin stream) and ``watch`` (a replayed
+update log) are in-process clients of it (:meth:`RkNNTServer.submit`).
 
 * **Transport** — one ``asyncio`` TCP server speaking the newline-framed
   JSON protocol of :mod:`repro.engine.protocol`.  Connections are cheap
@@ -51,7 +53,7 @@ import itertools
 import logging
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.engine import protocol, resilience
 from repro.engine.parallel import BatchHandle
@@ -141,6 +143,26 @@ class _Connection:
                 pass
 
 
+class LocalConnection:
+    """An in-process client of the dispatcher (see :meth:`RkNNTServer.submit`).
+
+    It stands where a TCP connection would: it owns the watches it
+    registers, and the delta events pushed to them collect in
+    :attr:`events` (oldest first) instead of going out on a socket.
+    """
+
+    def __init__(self) -> None:
+        self.watches: Dict[int, Any] = {}
+        self.events: List[Dict[str, Any]] = []
+
+    def send(self, payload: Dict[str, Any]) -> None:
+        self.events.append(payload)
+
+
+#: Whoever a request came from: a TCP connection or an in-process client.
+Requester = Union[_Connection, LocalConnection]
+
+
 class _Pending:
     """One queued request: where it came from and how to answer it."""
 
@@ -149,7 +171,7 @@ class _Pending:
     def __init__(
         self,
         request: Request,
-        connection: _Connection,
+        connection: Requester,
         future: "asyncio.Future[Dict[str, Any]]",
     ) -> None:
         self.request = request
@@ -254,7 +276,7 @@ class RkNNTServer:
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._seq = itertools.count()
         self._watch_ids = itertools.count()
-        self._watches: Dict[int, Tuple[Any, _Connection]] = {}
+        self._watches: Dict[int, Tuple[Any, Requester]] = {}
         self._connections: set = set()
         self._reader_tasks: set = set()
         self._writer_tasks: set = set()
@@ -268,8 +290,12 @@ class RkNNTServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the socket, start the dispatcher (and serving pool)."""
+    async def start_dispatcher(self) -> None:
+        """Start the dispatcher (and serving pool) without binding a socket.
+
+        In-process clients then talk to the server through :meth:`submit`;
+        :meth:`start` adds the TCP listener on top.
+        """
         log_path = os.environ.get(LOG_FILE_ENV, "").strip()
         if log_path:
             self._log_handler = logging.FileHandler(log_path)
@@ -284,14 +310,22 @@ class RkNNTServer:
                 start_method=self.start_method,
             )
             self._pool = self._pool_cm.__enter__()
-        self._server = await asyncio.start_server(
-            self._handle_client,
-            self.host,
-            self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+
+    async def start(self) -> None:
+        """Start the dispatcher (and serving pool), then bind the socket."""
+        await self.start_dispatcher()
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client,
+                self.host,
+                self.port,
+                limit=protocol.MAX_LINE_BYTES,
+            )
+        except BaseException:
+            await self.aclose()
+            raise
+        self.port = self._server.sockets[0].getsockname()[1]
         _LOGGER.info(
             "serving on %s:%s (workers=%d window_ms=%.3f max_batch=%d)",
             self.host,
@@ -383,9 +417,7 @@ class RkNNTServer:
                         protocol.error_reply(protocol.request_id_of(line), error)
                     )
                     continue
-                reply = await self._handle_request(request, connection)
-                if reply is not None:
-                    connection.send(reply)
+                connection.send(await self.submit(request, connection))
         except asyncio.CancelledError:
             pass  # server shutting down
         finally:
@@ -396,36 +428,42 @@ class RkNNTServer:
                 self._queue.put_nowait(_ConnClosed(connection))
             connection.close()
 
-    async def _handle_request(
-        self, request: Request, connection: _Connection
-    ) -> Optional[Dict[str, Any]]:
-        """Answer one request: inline for ``ping``/``stats``, through the
-        dispatcher queue (in arrival order) for everything else."""
+    def submit(
+        self, request: Request, connection: Requester
+    ) -> "asyncio.Future[Dict[str, Any]]":
+        """Take one decoded request; the returned future resolves to its reply.
+
+        ``ping`` and ``stats`` are answered at once.  Everything else joins
+        the dispatch queue before this returns, so requests submitted in
+        order are dispatched in that order, from a socket or in-process
+        alike; queries pass the admission gate first.  Must be called on
+        the server's event loop.
+        """
+        future: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
         if request.op == "ping":
-            return protocol.ok_reply(
-                request.id, pong=True, protocol=protocol.PROTOCOL_VERSION
+            future.set_result(
+                protocol.ok_reply(
+                    request.id, pong=True, protocol=protocol.PROTOCOL_VERSION
+                )
             )
+            return future
         if request.op == "stats":
-            return protocol.ok_reply(request.id, stats=self._stats_payload())
+            future.set_result(
+                protocol.ok_reply(request.id, stats=self._stats_payload())
+            )
+            return future
         if request.op == "query":
             try:
                 self._gate.acquire(1, what="query")
             except PoolSaturated as error:
                 self.stats["rejected_saturated"] += 1
-                return protocol.error_reply(request.id, error)
-            try:
-                return await self._enqueue(request, connection)
-            finally:
-                self._gate.release(1)
-        return await self._enqueue(request, connection)
-
-    async def _enqueue(
-        self, request: Request, connection: _Connection
-    ) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        item = _Pending(request, connection, loop.create_future())
-        await self._queue.put(item)
-        return await item.future
+                future.set_result(protocol.error_reply(request.id, error))
+                return future
+            future.add_done_callback(lambda _: self._gate.release(1))
+        self._queue.put_nowait(_Pending(request, connection, future))
+        return future
 
     # ------------------------------------------------------------------
     # Dispatcher: the only place state changes
@@ -570,11 +608,13 @@ class RkNNTServer:
 
         handle = BatchHandle(runner, label=f"rknnt-flush-{self.stats['batches']}")
         outcomes = await asyncio.wrap_future(handle.future)
+        # One miss per engine call that ran out of time: its queries all
+        # carry the same exception.
+        missed = {id(exc) for exc in outcomes if isinstance(exc, DeadlineExceeded)}
+        self.stats["deadline_misses"] += len(missed)
         for item, outcome in zip(batch, outcomes):
             if isinstance(outcome, BaseException):
-                if isinstance(outcome, DeadlineExceeded):
-                    self.stats["deadline_misses"] += 1
-                elif not isinstance(outcome, RkNNTError):
+                if not isinstance(outcome, RkNNTError):
                     self.stats["internal_errors"] += 1
                     _LOGGER.error("query failed: %r", outcome)
                 reply = protocol.error_reply(item.request.id, outcome)

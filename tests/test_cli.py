@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.baseline import rknnt_bruteforce
+from repro.core.rknnt import RkNNTProcessor
 from repro.data.gtfs import save_routes_csv, save_transitions_csv
+from repro.engine.server import RkNNTServer
+from repro.model.dataset import TransitionDataset
+from repro.model.transition import Transition
 
 
 @pytest.fixture
@@ -300,7 +306,67 @@ class TestServe:
         captured = capsys.readouterr()
         assert "served 0 queries" in captured.out
         assert "dropped 2 queries in 1 batches" in captured.out
-        assert "queries dropped" in captured.err
+        # One typed warning per dropped query, naming its line.
+        assert captured.err.count("query dropped") == 2
+        assert "stream.txt:2: query dropped" in captured.err
+
+
+    STREAM = (
+        "1.0 0.3 7.0 0.2\n"          # read on the packed data
+        "4.0 4.1\n"
+        "+ 9001 1.0 0.4 6.5 0.1\n"   # hugs route 0
+        "1.0 0.3 7.0 0.2\n"          # sees 9001
+        "- 0\n"
+        "# transition 0 is gone from here on\n"
+        "1.0 0.3 7.0 0.2\n"          # sees 9001 but not 0
+        "4.0 4.1\n"
+    )
+
+    @pytest.mark.parametrize("batch_size", ["1", "8"])
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_each_answer_is_the_oracle_at_its_line(
+        self, data_dir, tmp_path, capsys, toy_routes, toy_transitions, workers, batch_size
+    ):
+        """Every printed answer equals brute force on the dataset version
+        that was current when its line was read, in-process and pooled.
+        At batch size 8 the whole stream is in flight at once, so the
+        server must hold each update until the queries before it are
+        answered."""
+        stream = tmp_path / "stream.txt"
+        stream.write_text(self.STREAM)
+        code = self._run(
+            data_dir, stream, "--k", "2", "--workers", workers, "--batch-size", batch_size
+        )
+        assert code == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            match = re.match(r".*:(\d+): \d+ transitions \(version (\d+)\): (.*)$", line)
+            if match:
+                ids = [] if match[3] == "-" else [int(tid) for tid in match[3].split()]
+                printed[int(match[1])] = (int(match[2]), ids)
+
+        transitions = TransitionDataset(list(toy_transitions))
+        version = 0
+        expected = {}
+        for number, line in enumerate(self.STREAM.splitlines(), start=1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if fields[0] == "+":
+                x1, y1, x2, y2 = (float(value) for value in fields[2:])
+                transitions.add(Transition(int(fields[1]), (x1, y1), (x2, y2)))
+                version += 1
+            elif fields[0] == "-":
+                transitions.remove(int(fields[1]))
+                version += 1
+            else:
+                values = [float(value) for value in fields]
+                points = list(zip(values[::2], values[1::2]))
+                oracle = rknnt_bruteforce(toy_routes, transitions, points, 2)
+                expected[number] = (version, sorted(oracle.transition_ids))
+        assert printed == expected
+        # The three reads of one query differ, so a stale read would show.
+        assert len({tuple(expected[n][1]) for n in (1, 4, 7)}) == 3
 
 
 class TestWatch:
@@ -405,3 +471,61 @@ class TestWatch:
         assert "rejected" in captured.err
         assert "already present" in captured.err
         assert "verified against a fresh query" in captured.out
+
+    LOG = (
+        "+ 9000 1.0 0.2 7.0 0.1\n"
+        "+ 9001 50.0 50.0 60.0 60.0\n"
+        "- 9000\n"
+        "- 5\n"
+        "- 0\n"
+        "+ 0 1.0 0.1 7.0 0.1\n"
+    )
+    POINTS = [(1.0, 0.0), (7.0, 0.0)]
+
+    def _watch(self, data_dir, tmp_path, text=LOG):
+        log = tmp_path / "updates.log"
+        log.write_text(text)
+        argv = ["watch", "--data-dir", data_dir, "--k", "2", "--updates", str(log)]
+        for x, y in self.POINTS:
+            argv += ["--point", str(x), str(y)]
+        return main(argv)
+
+    def test_printed_deltas_are_the_library_deltas(
+        self, data_dir, tmp_path, capsys, toy_routes, toy_transitions
+    ):
+        assert self._watch(data_dir, tmp_path) == 0
+        printed = [
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line and line.split("|")[0].strip().isdigit()
+        ]
+
+        processor = RkNNTProcessor(toy_routes, toy_transitions)
+        subscription = processor.watch(self.POINTS, 2)
+        expected = []
+        for step, line in enumerate(self.LOG.splitlines()):
+            fields = line.split()
+            if fields[0] == "+":
+                x1, y1, x2, y2 = (float(value) for value in fields[2:])
+                processor.add_transition(Transition(int(fields[1]), (x1, y1), (x2, y2)))
+            else:
+                processor.remove_transition(int(fields[1]))
+            for delta in subscription.poll():
+                expected.append(
+                    [
+                        str(step),
+                        fields[0] + fields[1],
+                        delta.cause,
+                        ",".join(map(str, sorted(delta.added))) or "-",
+                        ",".join(map(str, sorted(delta.removed))) or "-",
+                    ]
+                )
+        assert len(expected) >= 4
+        assert printed == expected
+
+    def test_divergence_exits_1(self, data_dir, tmp_path, capsys, monkeypatch):
+        # With the delta pushes lost, the standing result the command folds
+        # from them no longer matches a fresh query.
+        monkeypatch.setattr(RkNNTServer, "_push_deltas", lambda self: None)
+        assert self._watch(data_dir, tmp_path, "+ 9000 1.0 0.2 7.0 0.1\n") == 1
+        assert "diverged from a fresh query" in capsys.readouterr().err

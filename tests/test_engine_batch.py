@@ -16,7 +16,8 @@ import pytest
 from conftest import BACKENDS
 
 from repro.core.baseline import rknnt_bruteforce
-from repro.core.filtering import FilterRefineEngine
+from repro.engine.context import ExecutionContext
+from repro.engine.executor import QueryExecutor
 from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
 from repro.model.transition import Transition
 from repro.planning.precompute import VertexRkNNTIndex
@@ -137,11 +138,13 @@ class TestPlanningBulkPath:
         scalar = VertexRkNNTIndex(mini_city.network, mini_processor, k=K)
         for vertex in mini_city.network.vertices():
             # Independent scalar engine, bypassing every shared cache.
-            engine = FilterRefineEngine(
-                mini_processor.route_index,
-                mini_processor.transition_index,
+            engine = QueryExecutor(
+                ExecutionContext(
+                    mini_processor.route_index, mini_processor.transition_index
+                ),
                 K,
                 use_voronoi=True,
+                backend="python",
             )
             confirmed = engine.run([tuple(mini_city.network.position(vertex))])
             expected = frozenset(
@@ -168,11 +171,13 @@ class TestDivideConquerStats:
             "confirmed_points": 0,
         }
         for point in query:
-            engine = FilterRefineEngine(
-                mini_processor.route_index,
-                mini_processor.transition_index,
+            engine = QueryExecutor(
+                ExecutionContext(
+                    mini_processor.route_index, mini_processor.transition_index
+                ),
                 K,
                 use_voronoi=True,
+                backend="python",
             )
             engine.run([point])
             for field in totals:

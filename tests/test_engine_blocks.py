@@ -13,11 +13,7 @@ import pytest
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.knn import count_routes_within, count_routes_within_sq
 from repro.core.rknnt import METHODS, RkNNTProcessor
-from repro.engine.context import (
-    DEFAULT_MATRIX_BLOCK_ROWS,
-    MATRIX_BLOCK_ROWS_ENV,
-    matrix_block_rows,
-)
+from repro.engine import context as context_module
 from repro.engine.executor import run_stages
 from repro.engine.plan import QueryPlan
 from repro.geometry import kernels
@@ -152,18 +148,8 @@ class TestBlockKnnTraversal:
 
 
 class TestChunkedRouteMatrix:
-    def test_block_rows_knob(self, monkeypatch):
-        monkeypatch.delenv(MATRIX_BLOCK_ROWS_ENV, raising=False)
-        assert matrix_block_rows() == DEFAULT_MATRIX_BLOCK_ROWS
-        monkeypatch.setenv(MATRIX_BLOCK_ROWS_ENV, "64")
-        assert matrix_block_rows() == 64
-        monkeypatch.setenv(MATRIX_BLOCK_ROWS_ENV, "not-a-number")
-        assert matrix_block_rows() == DEFAULT_MATRIX_BLOCK_ROWS
-        monkeypatch.setenv(MATRIX_BLOCK_ROWS_ENV, "-5")
-        assert matrix_block_rows() == DEFAULT_MATRIX_BLOCK_ROWS
-
     def test_blocks_cover_every_route_once(self, mini_city, mini_transitions, monkeypatch):
-        monkeypatch.setenv(MATRIX_BLOCK_ROWS_ENV, "16")
+        monkeypatch.setattr(context_module, "MATRIX_BLOCK_ROWS", 16)
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         matrix = processor.engine_context.route_matrix()
         assert len(matrix.blocks) > 1
@@ -183,7 +169,7 @@ class TestChunkedRouteMatrix:
     ):
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         baseline = processor.query_batch(block_queries, K, backend="numpy")
-        monkeypatch.setenv(MATRIX_BLOCK_ROWS_ENV, "8")
+        monkeypatch.setattr(context_module, "MATRIX_BLOCK_ROWS", 8)
         processor.engine_context.clear_caches()
         chunked = processor.query_batch(block_queries, K, backend="numpy")
         assert len(processor.engine_context.route_matrix().blocks) > 1

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.filtering import FilterRefineEngine, FilterSet
+from repro.engine.context import ExecutionContext
+from repro.engine.executor import QueryExecutor
+from repro.engine.filterset import FilterSet
 from repro.geometry.bbox import BoundingBox
 from repro.index.route_index import RouteIndex
 from repro.index.transition_index import TransitionIndex
@@ -41,18 +43,24 @@ class TestFilterSet:
 class TestEngineValidation:
     def test_invalid_k(self, toy_route_index, toy_transition_index):
         with pytest.raises(ValueError):
-            FilterRefineEngine(toy_route_index, toy_transition_index, 0)
+            QueryExecutor(
+                ExecutionContext(toy_route_index, toy_transition_index), 0, backend="python"
+            )
 
     def test_empty_query(self, toy_route_index, toy_transition_index):
-        engine = FilterRefineEngine(toy_route_index, toy_transition_index, 1)
+        context = ExecutionContext(toy_route_index, toy_transition_index)
+        engine = QueryExecutor(context, 1, backend="python")
         with pytest.raises(ValueError):
             engine.run([])
 
 
 class TestIsFiltered:
     def _engine(self, toy_route_index, toy_transition_index, k, use_voronoi=False):
-        return FilterRefineEngine(
-            toy_route_index, toy_transition_index, k, use_voronoi=use_voronoi
+        return QueryExecutor(
+            ExecutionContext(toy_route_index, toy_transition_index),
+            k,
+            use_voronoi=use_voronoi,
+            backend="python",
         )
 
     def test_no_filter_points_never_filters(
@@ -121,18 +129,24 @@ class TestEngineExclusions:
         transition_index = TransitionIndex(transitions, max_entries=4)
         query = [(0.0, 10.0), (4.0, 10.0)]
 
-        including = FilterRefineEngine(route_index, transition_index, 1)
+        including = QueryExecutor(
+            ExecutionContext(route_index, transition_index), 1, backend="python"
+        )
         confirmed_with_route = including.run(query)
         assert confirmed_with_route == {}  # route 0 wins everywhere
 
-        excluded = FilterRefineEngine(
-            route_index, transition_index, 1, exclude_route_ids={0}
+        excluded = QueryExecutor(
+            ExecutionContext(route_index, transition_index),
+            1,
+            exclude_route_ids={0},
+            backend="python",
         )
         confirmed_without_route = excluded.run(query)
         assert set(confirmed_without_route) == {0}
 
     def test_stats_are_populated(self, toy_route_index, toy_transition_index):
-        engine = FilterRefineEngine(toy_route_index, toy_transition_index, 2)
+        context = ExecutionContext(toy_route_index, toy_transition_index)
+        engine = QueryExecutor(context, 2, backend="python")
         engine.run([(4.0, 2.0), (6.0, 2.0)])
         stats = engine.stats
         assert stats.route_nodes_visited > 0

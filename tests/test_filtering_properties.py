@@ -12,7 +12,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.filtering import FilterRefineEngine
+from repro.engine.context import ExecutionContext
+from repro.engine.executor import QueryExecutor
 from repro.core.knn import count_routes_within_sq, query_distance_sq
 from repro.geometry.bbox import BoundingBox
 from repro.index.route_index import RouteIndex
@@ -66,7 +67,8 @@ def test_is_filtered_never_prunes_a_result_endpoint(scenario):
     routes, transitions, query, k = scenario
     route_index = RouteIndex(routes, max_entries=4)
     transition_index = TransitionIndex(transitions, max_entries=4)
-    engine = FilterRefineEngine(route_index, transition_index, k)
+    context = ExecutionContext(route_index, transition_index)
+    engine = QueryExecutor(context, k, backend="python")
     engine.filter_routes([tuple(q) for q in query])
 
     for transition in transitions:
@@ -94,7 +96,8 @@ def test_candidates_plus_pruned_cover_all_endpoints_in_answers(scenario):
     routes, transitions, query, k = scenario
     route_index = RouteIndex(routes, max_entries=4)
     transition_index = TransitionIndex(transitions, max_entries=4)
-    engine = FilterRefineEngine(route_index, transition_index, k, use_voronoi=True)
+    context = ExecutionContext(route_index, transition_index)
+    engine = QueryExecutor(context, k, use_voronoi=True, backend="python")
     normalised_query = [tuple(q) for q in query]
     engine.filter_routes(normalised_query)
     candidates = engine.prune_transitions(normalised_query)
@@ -121,7 +124,8 @@ def test_verification_confirms_exactly_the_true_endpoints(scenario):
     routes, transitions, query, k = scenario
     route_index = RouteIndex(routes, max_entries=4)
     transition_index = TransitionIndex(transitions, max_entries=4)
-    engine = FilterRefineEngine(route_index, transition_index, k)
+    context = ExecutionContext(route_index, transition_index)
+    engine = QueryExecutor(context, k, backend="python")
     normalised_query = [tuple(q) for q in query]
     confirmed = engine.run(normalised_query)
 

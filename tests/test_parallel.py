@@ -21,11 +21,8 @@ from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
 from repro.engine.context import ExecutionContext
 from repro.engine import parallel
 from repro.engine.parallel import (
-    DEFAULT_MIN_SHARD_BATCH,
-    MIN_SHARD_BATCH_ENV,
     ShardedExecutor,
     available_cpu_count,
-    min_shard_batch,
     resolve_worker_count,
 )
 from repro.engine.plan import QueryPlan, VORONOI
@@ -47,12 +44,12 @@ def shard_queries(mini_workload):
 def force_pool_path(monkeypatch):
     """Exercise the real pool path even on single-CPU runners.
 
-    ``RKNNT_MIN_SHARD_BATCH=0`` disables ``query_batch``'s serial
+    ``parallel.MIN_SHARD_BATCH = 0`` disables ``query_batch``'s serial
     fallback so the sharded ≡ serial contract is tested against actual
     worker processes (the fallback itself is covered by
     :class:`TestSerialFallback`, which restores the default).
     """
-    monkeypatch.setenv("RKNNT_MIN_SHARD_BATCH", "0")
+    monkeypatch.setattr(parallel, "MIN_SHARD_BATCH", 0)
 
 
 class TestShardedEquivalence:
@@ -190,14 +187,14 @@ class TestWorkerKnob:
 class TestSerialFallback:
     """``query_batch(workers=N)`` declines to spawn a per-call pool when it
     cannot pay off — too few CPUs, or a batch below
-    ``RKNNT_MIN_SHARD_BATCH`` — answering serially (identically) instead
+    ``parallel.MIN_SHARD_BATCH`` — answering serially (identically) instead
     and counting the fallback.  Persistent serving pools are exempt (their
     setup cost is sunk); those paths are covered in test_serving.py."""
 
     def test_small_batch_answers_serially(
         self, mini_processor, shard_queries, monkeypatch
     ):
-        monkeypatch.setenv(MIN_SHARD_BATCH_ENV, str(len(shard_queries) + 1))
+        monkeypatch.setattr(parallel, "MIN_SHARD_BATCH", len(shard_queries) + 1)
         context = mini_processor.engine_context
         before = context.shard_fallbacks
         serial = mini_processor.query_batch(shard_queries, K)
@@ -209,7 +206,7 @@ class TestSerialFallback:
     def test_single_cpu_answers_serially(
         self, mini_processor, shard_queries, monkeypatch
     ):
-        monkeypatch.delenv(MIN_SHARD_BATCH_ENV, raising=False)
+        monkeypatch.undo()  # back to the module's MIN_SHARD_BATCH
         monkeypatch.setattr(parallel, "available_cpu_count", lambda: 1)
         context = mini_processor.engine_context
         before = context.shard_fallbacks
@@ -224,7 +221,7 @@ class TestSerialFallback:
     ):
         # Even on one CPU, 0 forces the requested pool (the escape hatch
         # this module's autouse fixture relies on).
-        monkeypatch.setenv(MIN_SHARD_BATCH_ENV, "0")
+        monkeypatch.setattr(parallel, "MIN_SHARD_BATCH", 0)
         monkeypatch.setattr(parallel, "available_cpu_count", lambda: 1)
         context = mini_processor.engine_context
         before = context.shard_fallbacks
@@ -233,19 +230,6 @@ class TestSerialFallback:
         assert context.shard_fallbacks == before
         for expected, actual in zip(serial, pooled):
             assert actual.confirmed_endpoints == expected.confirmed_endpoints
-
-    def test_min_shard_batch_parsing(self, monkeypatch):
-        monkeypatch.delenv(MIN_SHARD_BATCH_ENV, raising=False)
-        assert min_shard_batch() == DEFAULT_MIN_SHARD_BATCH
-        monkeypatch.setenv(MIN_SHARD_BATCH_ENV, "7")
-        assert min_shard_batch() == 7
-        monkeypatch.setenv(MIN_SHARD_BATCH_ENV, "0")
-        assert min_shard_batch() == 0
-        # A mistyped tuning knob must never change answers or crash.
-        monkeypatch.setenv(MIN_SHARD_BATCH_ENV, "lots")
-        assert min_shard_batch() == DEFAULT_MIN_SHARD_BATCH
-        monkeypatch.setenv(MIN_SHARD_BATCH_ENV, "-3")
-        assert min_shard_batch() == DEFAULT_MIN_SHARD_BATCH
 
 
 class TestContextPickling:

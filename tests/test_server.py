@@ -21,10 +21,12 @@ Three layers, bottom up:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import random
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -41,6 +43,8 @@ from repro.engine.protocol import ProtocolError
 from repro.engine.server import (
     DEFAULT_MAX_BATCH,
     DEFAULT_WINDOW_MS,
+    LocalConnection,
+    RkNNTServer,
     ServerThread,
     server_max_batch,
     server_window_ms,
@@ -498,6 +502,88 @@ class TestBackpressureAndDeadlines:
                     assert stats["deadline_misses"] == 1
         finally:
             processor.close()
+
+
+class TestInProcessClients:
+    """``start_dispatcher`` plus ``submit``: the entry the CLI ``serve`` and
+    ``watch`` commands use, with no socket bound."""
+
+    @staticmethod
+    def run(processor, bodies, **kwargs):
+        async def scenario():
+            server = RkNNTServer(processor, k=K, window_ms=0, **kwargs)
+            await server.start_dispatcher()
+            connection = LocalConnection()
+            try:
+                futures = [
+                    server.submit(
+                        protocol.decode_object({"id": index, **body}), connection
+                    )
+                    for index, body in enumerate(bodies)
+                ]
+                replies = [await future for future in futures]
+            finally:
+                await server.aclose()
+            return server, connection, replies
+
+        try:
+            return asyncio.run(scenario())
+        finally:
+            processor.close()
+
+    def test_requests_apply_in_submission_order(self):
+        point = [2.0, 2.0]
+        query = {"op": "query", "points": [point]}
+        delete = {"op": "delete", "transition_id": 900}
+        server, connection, replies = self.run(
+            fresh_processor(),
+            [
+                {"op": "watch", "points": [point]},
+                query,
+                {
+                    "op": "insert",
+                    "transition": {"id": 900, "origin": point, "destination": point},
+                },
+                query,
+                delete,
+                delete,
+                query,
+            ],
+        )
+        assert server.port == 0  # no socket was bound
+        assert [reply["id"] for reply in replies] == list(range(7))
+        assert [reply.get("version") for reply in replies] == [0, 0, 1, 1, 2, None, 2]
+        assert 900 not in replies[1]["result"]["transitions"]
+        assert 900 in replies[3]["result"]["transitions"]
+        assert replies[5]["error"]["code"] == "bad_update"
+        assert 900 not in replies[6]["result"]["transitions"]
+        # The watch's deltas went to the in-process connection.
+        assert [(event["added"], event["removed"]) for event in connection.events] == [
+            ([900], []),
+            ([], [900]),
+        ]
+
+    def test_failed_bind_releases_the_pool(self):
+        processor = fresh_processor()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                with ServerThread(processor, port=taken.getsockname()[1], workers=1):
+                    pass  # pragma: no cover
+        try:
+            assert processor.active_serving_pool is None
+        finally:
+            processor.close()
+
+    def test_a_missed_deadline_counts_once_per_batch(self):
+        query = {"op": "query", "points": [[2.0, 2.0]]}
+        server, _, replies = self.run(
+            fresh_processor(), [query] * 3, deadline_ms=0.000001
+        )
+        assert [reply["error"]["code"] for reply in replies] == ["deadline_exceeded"] * 3
+        assert server.stats["batches"] == 1
+        assert server.stats["deadline_misses"] == 1
 
 
 class TestWatchOverTheWire:

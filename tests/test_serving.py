@@ -20,7 +20,7 @@ import pytest
 from conftest import BACKENDS
 
 from repro.core.baseline import rknnt_bruteforce
-from repro.core.rknnt import METHODS, RkNNTProcessor, SERVING_POOL_ENV
+from repro.core.rknnt import METHODS, RkNNTProcessor
 from repro.data.checkins import TransitionGenerator
 from repro.engine.parallel import ShardedExecutor
 from repro.engine.plan import QueryPlan
@@ -194,48 +194,7 @@ class TestServingPoolLifecycle:
         processor.close()
         processor.close()
 
-    def test_env_knob_adopts_a_persistent_pool(
-        self, mini_city, mini_transitions, monkeypatch
-    ):
-        monkeypatch.setenv(SERVING_POOL_ENV, "1")
-        processor = RkNNTProcessor(mini_city.routes, mini_transitions)
-        queries = [[(2.0, 2.0)], [(3.0, 2.5), (2.0, 2.0)]]
-        serial = processor.query_batch(queries, K)
-        first = processor.query_batch(queries, K, workers=WORKERS)
-        pool = processor.active_serving_pool
-        assert pool is not None  # adopted on first parallel call
-        second = processor.query_batch(queries, K, workers=WORKERS)
-        assert processor.active_serving_pool is pool
-        assert pool.pools_spawned == 1
-        for expected, a, b in zip(serial, first, second):
-            assert a.confirmed_endpoints == expected.confirmed_endpoints
-            assert b.confirmed_endpoints == expected.confirmed_endpoints
-        processor.close()
-        assert processor.active_serving_pool is None
-
-    def test_env_adopted_pool_grows_but_never_shrinks(
-        self, mini_city, mini_transitions, monkeypatch
-    ):
-        monkeypatch.setenv(SERVING_POOL_ENV, "1")
-        processor = RkNNTProcessor(mini_city.routes, mini_transitions)
-        queries = [[(2.0, 2.0)]]
-        serial = processor.query_batch(queries, K)
-        processor.query_batch(queries, K, workers=1)
-        assert processor.active_serving_pool.workers == 1
-        # Asking for more workers replaces the undersized pool...
-        grown = processor.query_batch(queries, K, workers=WORKERS)
-        pool = processor.active_serving_pool
-        assert pool.workers == WORKERS
-        # ...while a smaller request keeps the larger, warm pool.
-        processor.query_batch(queries, K, workers=1)
-        assert processor.active_serving_pool is pool
-        assert grown[0].confirmed_endpoints == serial[0].confirmed_endpoints
-        processor.close()
-
-    def test_env_knob_off_keeps_percall_pools(
-        self, mini_city, mini_transitions, monkeypatch
-    ):
-        monkeypatch.delenv(SERVING_POOL_ENV, raising=False)
+    def test_percall_pools_are_not_retained(self, mini_city, mini_transitions):
         processor = RkNNTProcessor(mini_city.routes, mini_transitions)
         processor.query_batch([[(2.0, 2.0)]], K, workers=1)
         assert processor.active_serving_pool is None
