@@ -137,15 +137,6 @@ class BoundingBox:
         """Area increase needed to cover ``other`` (R-tree insertion metric)."""
         return self.union(other).area - self.area
 
-    def intersects(self, other: "BoundingBox") -> bool:
-        """True when the two boxes share at least one point."""
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
     def contains_point(self, point: Sequence[float]) -> bool:
         """True when ``point`` lies inside (or on the boundary of) the box."""
         return (

@@ -8,17 +8,23 @@ this module implements the classic structure from scratch:
   existing dataset, one level at a time: the ordering and every node box
   come from :func:`repro.geometry.kernels.str_levels`, and each node gets
   its packed child boxes as a row slice of its level's array,
-* insertion with least-enlargement subtree choice and quadratic node
-  splitting (Guttman's R-tree), so the TR-tree takes the paper's arriving
-  transitions,
+* structural insertion, so the TR-tree takes the paper's arriving
+  transitions: the entry joins the leaf of least enlargement and the boxes
+  on its path are recomputed.  No node is split or created.  Once that
+  leaf holds ``2 * max_entries`` entries the tree is rebuilt by STR from
+  its own entries, which leaves every leaf at most ``max_entries`` full
+  again.  On the nyc×0.75 TR-tree (13,500 entries, ``max_entries`` 16,
+  2 vCPU) under the serving benchmark's update stream, a transition
+  arrival (two inserts) takes about 0.15 ms at the median, and a rebuild
+  (about 12 ms) comes once per 650–1,000 arrivals,
 * structural deletion: the entry is removed, the boxes on its root-to-leaf
   path are tightened, emptied nodes are unlinked and a one-child root is
   collapsed.  Nothing is re-inserted.  Once the average leaf fill drops
   below ``min_entries`` (``len(tree) < min_entries * leaf_count``) the tree
-  is rebuilt by STR from its own entries.  On the nyc×0.75 TR-tree (13,500
-  entries, ``max_entries`` 16, 2 vCPU) that first happens after 6,749
-  deletes and takes about 15 ms, 0.002 ms a delete amortised; a delete in
-  between walks one path (about 0.03 ms at the median),
+  is rebuilt by STR from its own entries.  On the same tree that first
+  happens after 6,749 deletes and takes about 15 ms, 0.002 ms a delete
+  amortised; a delete in between walks one path (about 0.03 ms at the
+  median),
 * best-first (MinDist ordered) nearest-neighbour traversal,
 * an optional per-node union of entry payload sets, built with the tree,
   which the route index uses as the paper's ``NList``.  Such a tree is
@@ -27,8 +33,12 @@ this module implements the classic structure from scratch:
 * :func:`paused_gc`, which the two index wrappers hold around every bulk
   build and columnar decode.
 
-Updates carry the root-to-leaf path with them, so nodes keep no parent
-pointers and a tree holds no reference cycles.
+So only STR ever shapes a tree: an update changes which entries a leaf
+holds and the boxes on its path (a delete also unlinks nodes it empties),
+but never splits a node or creates one.  Both rebuild rules read only the
+tree's shape, so copies of one tree that replay the same updates rebuild
+at the same one.  Updates carry the root-to-leaf path with them, so nodes
+keep no parent pointers and a tree holds no reference cycles.
 
 Only point data is stored (every leaf entry is a degenerate rectangle), which
 matches how the paper indexes routes and transitions.
@@ -204,7 +214,7 @@ class RTreeNode:
     def recompute_bbox(self) -> None:
         """Recompute this node's bounding box from its children."""
         # Every mutation that touches the child set runs through here (or
-        # through a split, which also ends in recompute calls), so this is
+        # through an STR rebuild, which installs fresh nodes), so this is
         # the single invalidation point of the packed-box cache.
         self.packed_boxes = None
         if not self.children:
@@ -308,17 +318,19 @@ def paused_gc(func: _Func) -> _Func:
 
 
 class RTree:
-    """R-tree over planar points: STR bulk load, Guttman insertion and
-    structural deletion.
+    """R-tree over planar points: STR bulk load, and structural inserts and
+    deletes that rebuild the tree by STR instead of splitting or merging
+    nodes.
 
     Parameters
     ----------
     max_entries:
-        Maximum fanout of a node; nodes exceeding it are split.
+        Fanout of an STR-packed node.  Internal nodes never exceed it; an
+        insert that fills a leaf to ``2 * max_entries`` entries rebuilds
+        the tree.
     min_entries:
-        Minimum fill of a node after a split, and the average leaf fill
-        below which a delete rebuilds the tree; defaults to
-        ``max_entries // 2``.
+        The average leaf fill below which a delete rebuilds the tree;
+        defaults to ``max_entries // 2``.
     track_payload_union:
         When True every node keeps ``payload_union``: the union of the
         payload sets of all entries in its subtree (the paper's ``NList``).
@@ -347,8 +359,8 @@ class RTree:
         self.root = RTreeNode(is_leaf=True)
         self._size = 0
         #: Number of leaf nodes (an empty tree is one empty leaf).  Set by
-        #: bulk load and decode, kept by leaf splits and unlinks; the
-        #: rebuild rule of :meth:`remove` reads it.
+        #: bulk load and decode, kept by unlinks; the rebuild rule of
+        #: :meth:`remove` reads it.
         self.leaf_count = 1
 
     # ------------------------------------------------------------------
@@ -474,21 +486,28 @@ class RTree:
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, entry: RTreeEntry) -> None:
-        """Insert a single leaf entry (Guttman insertion with quadratic split).
+        """Insert a single leaf entry.
 
-        Raises ``ValueError`` on a tree that tracks payload unions.
+        The entry joins the leaf of least enlargement (:meth:`_choose_path`)
+        and the boxes on that leaf's path are recomputed; no node is split
+        or created.  When that leaf reaches ``2 * max_entries`` entries, the
+        tree is rebuilt by STR from its own entries instead.  Raises
+        ``ValueError`` on a tree that tracks payload unions.
         """
         self._check_mutable()
         path = self._choose_path(entry)
-        path[-1].children.append(entry)
+        leaf = path[-1]
+        leaf.children.append(entry)
         self._size += 1
-        self._adjust_upwards(path)
+        if len(leaf.children) >= 2 * self.max_entries:
+            self._rebuild()
+            return
+        for node in reversed(path):
+            node.recompute_bbox()
 
-    def insert_point(self, point: Sequence[float], payload: Any) -> RTreeEntry:
-        """Convenience wrapper creating and inserting an entry."""
-        entry = RTreeEntry(point, payload)
-        self.insert(entry)
-        return entry
+    def _rebuild(self) -> None:
+        """Re-pack this tree by STR from its own entries."""
+        self._load(list(self.entries()))
 
     def _check_mutable(self) -> None:
         if self.track_payload_union:
@@ -520,91 +539,6 @@ class RTree:
             node = best_child
             path.append(node)
         return path
-
-    def _adjust_upwards(self, path: List[RTreeNode]) -> None:
-        """Re-box the nodes of ``path`` bottom-up, splitting overfull ones."""
-        for depth in reversed(range(len(path))):
-            node = path[depth]
-            if len(node.children) <= self.max_entries:
-                node.recompute_bbox()
-                continue
-            sibling = self._split_node(node)
-            if node.is_leaf:
-                self.leaf_count += 1
-            if depth:
-                path[depth - 1].children.append(sibling)
-            else:
-                # Grow the tree: create a new root.
-                self.root = RTreeNode(is_leaf=False)
-                self.root.children = [node, sibling]
-                self.root.recompute_bbox()
-
-    def _split_node(self, node: RTreeNode) -> RTreeNode:
-        """Quadratic split: returns the newly created sibling node."""
-        children = node.children
-        boxes = [_child_bbox(child) for child in children]
-
-        # Pick the two seeds wasting the most area if grouped together.
-        seed_a, seed_b = 0, 1
-        worst_waste = -math.inf
-        for i, j in itertools.combinations(range(len(children)), 2):
-            waste = boxes[i].union(boxes[j]).area - boxes[i].area - boxes[j].area
-            if waste > worst_waste:
-                worst_waste = waste
-                seed_a, seed_b = i, j
-
-        group_a = [children[seed_a]]
-        group_b = [children[seed_b]]
-        box_a = boxes[seed_a]
-        box_b = boxes[seed_b]
-        remaining = [
-            child for idx, child in enumerate(children) if idx not in (seed_a, seed_b)
-        ]
-
-        while remaining:
-            # If one group must absorb all remaining entries to reach the
-            # minimum fill, assign them wholesale.
-            if len(group_a) + len(remaining) <= self.min_entries:
-                group_a.extend(remaining)
-                for child in remaining:
-                    box_a = box_a.union(_child_bbox(child))
-                remaining = []
-                break
-            if len(group_b) + len(remaining) <= self.min_entries:
-                group_b.extend(remaining)
-                for child in remaining:
-                    box_b = box_b.union(_child_bbox(child))
-                remaining = []
-                break
-
-            # Pick the entry with the greatest preference for one group.
-            best_idx = 0
-            best_diff = -math.inf
-            for idx, child in enumerate(remaining):
-                child_box = _child_bbox(child)
-                d_a = box_a.union(child_box).area - box_a.area
-                d_b = box_b.union(child_box).area - box_b.area
-                diff = abs(d_a - d_b)
-                if diff > best_diff:
-                    best_diff = diff
-                    best_idx = idx
-            child = remaining.pop(best_idx)
-            child_box = _child_bbox(child)
-            d_a = box_a.union(child_box).area - box_a.area
-            d_b = box_b.union(child_box).area - box_b.area
-            if d_a < d_b or (d_a == d_b and len(group_a) <= len(group_b)):
-                group_a.append(child)
-                box_a = box_a.union(child_box)
-            else:
-                group_b.append(child)
-                box_b = box_b.union(child_box)
-
-        node.children = group_a
-        sibling = RTreeNode(is_leaf=node.is_leaf)
-        sibling.children = group_b
-        node.recompute_bbox()
-        sibling.recompute_bbox()
-        return sibling
 
     # ------------------------------------------------------------------
     # Deletion
@@ -658,7 +592,7 @@ class RTree:
             root = root.children[0]  # type: ignore[assignment]
         self.root = root
         if self._size < self.min_entries * self.leaf_count:
-            self._load(list(self.entries()))
+            self._rebuild()
         return entry
 
     def _find_path(
@@ -693,38 +627,6 @@ class RTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def range_search(self, box: BoundingBox) -> List[RTreeEntry]:
-        """All entries whose point lies inside ``box``."""
-        results: List[RTreeEntry] = []
-        if self._size == 0 or self.root.bbox is None:
-            return results
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.bbox is None or not node.bbox.intersects(box):
-                continue
-            if node.is_leaf:
-                for entry in node.children:
-                    assert isinstance(entry, RTreeEntry)
-                    if box.contains_point(entry.point):
-                        results.append(entry)
-            else:
-                stack.extend(node.children)  # type: ignore[arg-type]
-        return results
-
-    def nearest_neighbors(
-        self, point: Sequence[float], k: int = 1
-    ) -> List[Tuple[float, RTreeEntry]]:
-        """The ``k`` entries nearest to ``point`` as ``(distance, entry)`` pairs."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        results: List[Tuple[float, RTreeEntry]] = []
-        for distance, entry in self.iter_nearest(point):
-            results.append((distance, entry))
-            if len(results) >= k:
-                break
-        return results
-
     def iter_nearest(
         self, point: Sequence[float]
     ) -> Iterator[Tuple[float, RTreeEntry]]:
@@ -757,8 +659,3 @@ class RTree:
                             (child.bbox.min_dist(point), next(counter), child),
                         )
 
-
-def _child_bbox(child: Union[RTreeNode, RTreeEntry]) -> BoundingBox:
-    box = child.bbox
-    assert box is not None
-    return box

@@ -12,9 +12,8 @@ and the execution context's delta-aware sub-query cache patching
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
-from repro.geometry.bbox import BoundingBox
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode, paused_gc
 from repro.model.dataset import TransitionDataset
 from repro.model.transition import Transition
@@ -88,15 +87,20 @@ class TransitionIndex:
 
     The index supports the dynamic workflow of the paper: transitions can be
     added as new passenger requests arrive and removed once they expire.
-    An arrival is a Guttman insertion.  An expiry removes the endpoint's
-    entry and tightens the boxes on its root-to-leaf path, with nothing
-    re-inserted; once the tree's average leaf fill falls below
-    ``min_entries`` it is rebuilt by STR from its own entries (see
+    Neither splits a node.  An arrival appends each endpoint to its leaf
+    of least enlargement and re-boxes that leaf's path; once a leaf holds
+    ``2 * max_entries`` entries the tree is rebuilt by STR from its own
+    entries (see :meth:`RTree.insert <repro.index.rtree.RTree.insert>`).
+    An expiry removes the endpoint's entry and tightens the boxes on its
+    path, with nothing re-inserted; once the tree's average leaf fill falls
+    below ``min_entries`` it is rebuilt the same way (see
     :meth:`RTree.remove <repro.index.rtree.RTree.remove>`).  On nyc×0.75
-    removing a transition (two entries) takes about 0.06 ms at the median,
-    and the first rebuild (about 15 ms) comes after 3,375 of them.  Pool
+    under the serving benchmark's update stream, adding a transition (two
+    entries) takes about 0.15 ms at the median and removing one about
+    0.05 ms; an insert rebuild (about 12 ms) comes once per 650–1,000
+    arrivals, and the first delete rebuild after 3,375 removals.  Pool
     replicas decode the same columns and replay the same deltas, so they
-    rebuild at the same delete.
+    rebuild at the same insert or delete.
     """
 
     @paused_gc
@@ -292,13 +296,6 @@ class TransitionIndex:
     def transition(self, transition_id: int) -> Transition:
         """Resolve a transition id back to the transition object."""
         return self.transitions.get(transition_id)
-
-    def endpoints_in_box(
-        self, box: BoundingBox
-    ) -> Iterator[Tuple[Tuple[float, float], TransitionEntry]]:
-        """Yield ``(location, tag)`` for every endpoint inside ``box``."""
-        for entry in self.tree.range_search(box):
-            yield entry.point, entry.payload
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,7 @@ from conftest import BACKENDS
 
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import METHODS, RkNNTProcessor
-from repro.data.workloads import make_city
+from repro.data.workloads import QueryWorkload, make_city
 from repro.engine import parallel
 from repro.engine.columnar import (
     PAYLOAD_ROUTE,
@@ -28,7 +28,7 @@ from repro.engine.columnar import (
 from repro.geometry import kernels
 from repro.index.inverted import point_key
 from repro.index.route_index import RouteIndex
-from repro.index.rtree import RTree
+from repro.index.rtree import RTree, RTreeEntry
 from repro.index.transition_index import TransitionIndex
 from repro.model.dataset import RouteDataset, TransitionDataset
 from repro.model.route import Route
@@ -152,7 +152,7 @@ class TestMixedUpdates:
 
 
 # ----------------------------------------------------------------------
-# Structural deletes, STR rebuilds and the static RR-tree
+# Structural updates, STR rebuilds and the static RR-tree
 # ----------------------------------------------------------------------
 def tree_bits(columns):
     """Tree columns as text that keeps every float's exact bits."""
@@ -212,13 +212,13 @@ def reference_index(routes, max_entries=4):
 def count_rebuilds(monkeypatch):
     """Record the entry count of every STR re-pack of an existing tree."""
     rebuilds = []
-    load = RTree._load
+    rebuild = RTree._rebuild
 
-    def counted(tree, entries):
-        rebuilds.append(len(entries))
-        return load(tree, entries)
+    def counted(tree):
+        rebuilds.append(len(tree))
+        return rebuild(tree)
 
-    monkeypatch.setattr(RTree, "_load", counted)
+    monkeypatch.setattr(RTree, "_rebuild", counted)
     return rebuilds
 
 
@@ -246,6 +246,21 @@ def churn_through_rebuild(processor, rebuilds, seed=3):
             victim = rng.choice(sorted(t.transition_id for t in transitions))
             processor.remove_transition(victim)
         assert steps < 1000, "the TR-tree was never rebuilt"
+    return steps
+
+
+def arrive_through_rebuild(processor, rebuilds, seed=5):
+    """Add transitions at seeded random places, and nothing else, until an
+    insert has rebuilt the TR-tree and then some more."""
+    rng = random.Random(seed)
+    next_id = processor.transitions.next_id()
+    steps = 0
+    while not rebuilds or steps % 10:
+        steps += 1
+        x, y = rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)
+        processor.add_transition(Transition(next_id, (x, y), (y, x)))
+        next_id += 1
+        assert steps < 1000, "no insert rebuilt the TR-tree"
     return steps
 
 
@@ -309,29 +324,115 @@ class TestBoundedDeletes:
                 assert result.transition_ids == oracle.transition_ids, method
 
 
+class TestBoundedInserts:
+    def test_nyc_probe_inserts_keep_the_height(self, monkeypatch):
+        """1,000 seeded arrivals on nyc×0.75, drawn the way the serving
+        benchmark draws them (two route points, jittered).  No insert
+        splits a node; the one rebuild comes when a leaf reaches
+        ``2 * max_entries`` entries, at the 647th arrival."""
+        city, transitions = make_city("nyc", scale=0.75)
+        routes = RouteDataset(list(city.routes))
+        transitions = TransitionDataset(list(transitions))
+        processor = RkNNTProcessor(routes, transitions)
+        tree = processor.transition_index.tree
+        height = tree.height()
+        rebuilds = count_rebuilds(monkeypatch)
+        rng = random.Random(0)
+        points = [tuple(point) for route in routes for point in route.points]
+        next_id = transitions.next_id()
+        for step in range(1_000):
+            origin, destination = rng.sample(points, 2)
+            jittered = [
+                (x + rng.gauss(0, 0.5), y + rng.gauss(0, 0.5)) for x, y in (origin, destination)
+            ]
+            processor.add_transition(Transition(next_id + step, *jittered))
+        assert rebuilds == [13_500 + 2 * 647]
+        assert len(tree) == 15_500 and tree.height() == height
+        assert tree.leaf_count == sum(node.is_leaf for node in walk_nodes(tree))
+        for query in QueryWorkload(city, seed=0).query_routes(3, length=4, interval=0.8):
+            assert_matches_oracle(processor, routes, transitions, query, 3)
+
+    def test_hot_spot_rebuilds_at_most_once_per_max_entries_inserts(self, monkeypatch):
+        rebuilds = count_rebuilds(monkeypatch)
+        rng = random.Random(4)
+        points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(500)]
+        tree = RTree.bulk_load_points(points, list(range(500)), max_entries=8)
+        at = []
+        for step in range(400):
+            tree.insert(RTreeEntry((50.0, 50.0), 500 + step))
+            if len(rebuilds) > len(at):
+                at.append(step)
+        assert at and all(b - a >= 8 for a, b in zip(at, at[1:]))
+        assert len(tree) == 900
+
+
+def pool_queries(mini_city):
+    """Four mini-city queries, the same whichever tests ran before.  No two
+    of them share a divide-conquer sub-query (see
+    ``test_dc_counters_do_not_depend_on_shard_placement``)."""
+    return QueryWorkload(mini_city, seed=99).query_routes(4, length=4, interval=0.8)
+
+
+def assert_replicas_match_after(churn, mini_city, mini_transitions, monkeypatch):
+    """Churn a pooled processor with ``churn`` until its TR-tree has been
+    rebuilt; then the pool's answers and counters equal serial ones and a
+    worker's replayed TR-tree encodes to the parent's columns."""
+    rebuilds = count_rebuilds(monkeypatch)
+    processor = small_churn_processor(mini_city, mini_transitions)
+    queries = pool_queries(mini_city)
+    with processor.serving_pool(workers=2) as pool:
+        processor.query_batch(queries, 3, workers=2)
+        churn(processor, rebuilds)
+        assert rebuilds
+        for method in METHODS:
+            pooled = processor.query_batch(queries, 3, method=method, workers=2)
+            serial = processor.query_batch(queries, 3, method=method)
+            for ours, theirs in zip(pooled, serial):
+                assert ours.confirmed_endpoints == theirs.confirmed_endpoints
+                assert _counters(ours) == _counters(theirs), method
+        # Transition churn is replayed, never reseeded: the workers' trees
+        # were decoded at the seed and rebuilt by their own updates.
+        assert pool.pools_spawned == 1
+        worker = pool._pool.submit(_synced_tree_columns, pool._current_sync())
+        parent = encode_tree(processor.transition_index.tree, PAYLOAD_TAG)
+        assert tree_bits(worker.result(timeout=60)) == tree_bits(parent)
+
+
 class TestPoolReplicasRebuildTogether:
     def test_worker_tree_and_pooled_answers_match_the_parent(
-        self, mini_city, mini_transitions, mini_workload, monkeypatch
+        self, mini_city, mini_transitions, monkeypatch
     ):
-        rebuilds = count_rebuilds(monkeypatch)
+        assert_replicas_match_after(
+            churn_through_rebuild, mini_city, mini_transitions, monkeypatch
+        )
+
+    def test_workers_rebuild_at_the_same_insert(
+        self, mini_city, mini_transitions, monkeypatch
+    ):
+        assert_replicas_match_after(
+            arrive_through_rebuild, mini_city, mini_transitions, monkeypatch
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the divide-conquer sub-query memo (ROADMAP item 2) lets a "
+        "query reuse an earlier query's sub-query in the same context, so "
+        "its counters depend on which queries share a shard",
+    )
+    def test_dc_counters_do_not_depend_on_shard_placement(
+        self, mini_city, mini_transitions
+    ):
+        workload = QueryWorkload(mini_city, seed=99)
+        workload.query_routes(4, length=4, interval=0.8)
+        queries = workload.query_routes(4, length=4, interval=0.8)
+        assert queries[0][0] == queries[1][0]  # one shared sub-query
         processor = small_churn_processor(mini_city, mini_transitions)
-        queries = mini_workload.query_routes(4, length=4, interval=0.8)
-        with processor.serving_pool(workers=2) as pool:
-            processor.query_batch(queries, 3, workers=2)
-            churn_through_rebuild(processor, rebuilds)
-            assert rebuilds
-            for method in METHODS:
-                pooled = processor.query_batch(queries, 3, method=method, workers=2)
-                serial = processor.query_batch(queries, 3, method=method)
-                for ours, theirs in zip(pooled, serial):
-                    assert ours.confirmed_endpoints == theirs.confirmed_endpoints
-                    assert _counters(ours) == _counters(theirs), method
-            # Transition churn is replayed, never reseeded: the workers'
-            # trees were decoded at the seed and rebuilt by their own deletes.
-            assert pool.pools_spawned == 1
-            worker = pool._pool.submit(_synced_tree_columns, pool._current_sync())
-            parent = encode_tree(processor.transition_index.tree, PAYLOAD_TAG)
-            assert tree_bits(worker.result(timeout=60)) == tree_bits(parent)
+        with processor.serving_pool(workers=2):
+            pooled = processor.query_batch(queries, 3, method="divide-conquer", workers=2)
+        serial = processor.query_batch(queries, 3, method="divide-conquer")
+        for ours, theirs in zip(pooled, serial):
+            assert ours.confirmed_endpoints == theirs.confirmed_endpoints
+        assert [_counters(r) for r in pooled] == [_counters(r) for r in serial]
 
 
 class TestStaticRouteTree:
@@ -417,3 +518,42 @@ class TestStoreAfterChurn:
         assert tree_bits(
             encode_tree(booted.transition_index.tree, PAYLOAD_TAG)
         ) == tree_bits(encode_tree(processor.transition_index.tree, PAYLOAD_TAG))
+
+    def test_pack_and_boot_keeps_overfull_leaves_and_the_insert_rebuild(
+        self, mini_city, mini_transitions, monkeypatch, tmp_path
+    ):
+        """Between rebuilds a leaf may hold up to ``2 * max_entries - 1``
+        entries; the store keeps such leaves as they are, and a booted
+        index rebuilds at the same insert as the one it was packed from."""
+        from repro.engine import store as store_module
+
+        rebuilds = count_rebuilds(monkeypatch)
+        processor = small_churn_processor(mini_city, mini_transitions)
+        arrive_through_rebuild(processor, rebuilds)
+        tree = processor.transition_index.tree
+        assert max(len(n.children) for n in walk_nodes(tree) if n.is_leaf) > tree.max_entries
+        path = str(tmp_path / "arrivals.store")
+        store_module.save_indexes(path, processor.route_index, processor.transition_index)
+        booted = RkNNTProcessor.from_store(path)
+        assert tree_bits(encode_tree(booted.transition_index.tree, PAYLOAD_TAG)) == tree_bits(
+            encode_tree(tree, PAYLOAD_TAG)
+        )
+        queries = pool_queries(mini_city)
+        for method in METHODS:
+            for ours, theirs in zip(
+                booted.query_batch(queries, 3, method=method),
+                processor.query_batch(queries, 3, method=method),
+            ):
+                assert ours.confirmed_endpoints == theirs.confirmed_endpoints
+        before = len(rebuilds)
+        rng = random.Random(8)
+        next_id = processor.transitions.next_id()
+        for step in range(60):
+            x, y = rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)
+            for target in (processor, booted):
+                target.add_transition(Transition(next_id + step, (x, y), (y, x)))
+        after = len(rebuilds) - before
+        assert after > 0 and after % 2 == 0  # the same rebuilds on both sides
+        assert tree_bits(encode_tree(booted.transition_index.tree, PAYLOAD_TAG)) == tree_bits(
+            encode_tree(tree, PAYLOAD_TAG)
+        )

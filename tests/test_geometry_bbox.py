@@ -71,15 +71,6 @@ class TestDerivedQuantities:
 
 
 class TestPredicates:
-    def test_intersects_overlapping(self):
-        assert BoundingBox(0, 0, 2, 2).intersects(BoundingBox(1, 1, 3, 3))
-
-    def test_intersects_touching_edge(self):
-        assert BoundingBox(0, 0, 1, 1).intersects(BoundingBox(1, 0, 2, 1))
-
-    def test_intersects_disjoint(self):
-        assert not BoundingBox(0, 0, 1, 1).intersects(BoundingBox(2, 2, 3, 3))
-
     def test_contains_point_boundary(self):
         box = BoundingBox(0, 0, 1, 1)
         assert box.contains_point((1, 1))
@@ -137,7 +128,3 @@ class TestDistanceProperties:
         union = first.union(second)
         assert union.contains_box(first)
         assert union.contains_box(second)
-
-    @given(first=boxes(), second=boxes())
-    def test_intersects_is_symmetric(self, first, second):
-        assert first.intersects(second) == second.intersects(first)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BACKENDS
+
 from repro.core.baseline import rknnt_bruteforce
 from repro.core.rknnt import (
     DIVIDE_CONQUER,
@@ -20,6 +22,8 @@ from repro.core.rknnt import (
     rknnt_query,
 )
 from repro.model.dataset import RouteDataset, TransitionDataset
+from repro.model.route import Route
+from repro.model.transition import Transition
 
 coord = st.floats(min_value=-2, max_value=12, allow_nan=False, allow_infinity=False)
 query_strategy = st.lists(st.tuples(coord, coord), min_size=1, max_size=6)
@@ -199,3 +203,45 @@ class TestEdgeCases:
         result = toy_processor.query(query, k)
         assert result.transition_ids == oracle.transition_ids
         assert result.transition_ids == frozenset(toy_transitions.transition_ids)
+
+
+class TestFloatTieReproducer:
+    """ROADMAP open item 1: R1's second point is closer to the query in
+    exact arithmetic, but the float64 squared distances tie, so the oracle
+    (which compares squared distances) keeps T2 and T3.  The half-plane
+    prune does not see the tie and discards them."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the linear half-plane prune is not "
+        "conservative against the oracle's float64 squared-distance ties",
+    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_methods_follow_the_float_oracle(self, method, backend):
+        routes = RouteDataset(
+            [
+                Route(0, [(0.0, 0.0), (0.0, 0.0)]),
+                Route(1, [(0.0, 0.0), (0.0, 1.5112441903382607e-232)]),
+            ]
+        )
+        transitions = TransitionDataset(
+            [
+                Transition(0, (0.0, 0.0), (0.0, 0.0)),
+                Transition(
+                    2,
+                    (8.098682749008287, 15.675971780695452),
+                    (6.066254521578549, 9.531939083047117),
+                ),
+                Transition(
+                    3,
+                    (11.667640789100624, 18.162257703906704),
+                    (10.093737116347805, 5.636756887994077),
+                ),
+            ]
+        )
+        query = [(0.0, 0.0)]
+        assert rknnt_bruteforce(routes, transitions, query, 1).transition_ids == {0, 2, 3}
+        processor = RkNNTProcessor(routes, transitions)
+        result = processor.query(query, 1, method=method, backend=backend)
+        assert result.transition_ids == {0, 2, 3}

@@ -1,12 +1,12 @@
 """Unit tests for the R-tree substrate (bulk load, insert, delete, queries)."""
 
+import itertools
 import pickle
 import random
 
 import pytest
 
 from repro.engine.columnar import walk_nodes
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import euclidean
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
 
@@ -101,7 +101,7 @@ class TestInvariants:
     def test_insert_invariants(self):
         tree = RTree(max_entries=6)
         for i, point in enumerate(random_points(200, seed=4)):
-            tree.insert_point(point, frozenset({i}))
+            tree.insert(RTreeEntry(point, frozenset({i})))
         assert len(tree) == 200
         self.check_bboxes(tree.root)
 
@@ -111,7 +111,7 @@ class TestInvariants:
             make_entries(points), max_entries=6, track_payload_union=True
         )
         with pytest.raises(ValueError, match="static"):
-            tree.insert_point((1.0, 1.0), frozenset({99}))
+            tree.insert(RTreeEntry((1.0, 1.0), frozenset({99})))
         with pytest.raises(ValueError, match="static"):
             tree.remove(points[0])
         assert len(tree) == 40
@@ -136,15 +136,16 @@ class TestInvariants:
 class TestInsertDelete:
     def test_insert_then_query(self):
         tree = RTree(max_entries=4)
-        tree.insert_point((1, 1), "a")
-        tree.insert_point((2, 2), "b")
-        results = tree.range_search(BoundingBox(0, 0, 1.5, 1.5))
-        assert [e.payload for e in results] == ["a"]
+        tree.insert(RTreeEntry((1, 1), "a"))
+        tree.insert(RTreeEntry((2, 2), "b"))
+        _, nearest = next(tree.iter_nearest((1.2, 1.2)))
+        assert nearest.payload == "a"
+        assert [e.payload for e in tree.entries()] == ["a", "b"]
 
     def test_remove_existing(self):
         tree = RTree(max_entries=4)
         for i, point in enumerate(random_points(50, seed=6)):
-            tree.insert_point(point, i)
+            tree.insert(RTreeEntry(point, i))
         points = [e.point for e in tree.entries()]
         removed = tree.remove(points[10])
         assert removed is not None
@@ -152,14 +153,14 @@ class TestInsertDelete:
 
     def test_remove_missing_returns_none(self):
         tree = RTree(max_entries=4)
-        tree.insert_point((0, 0), "x")
+        tree.insert(RTreeEntry((0, 0), "x"))
         assert tree.remove((5, 5)) is None
         assert len(tree) == 1
 
     def test_remove_with_match_predicate(self):
         tree = RTree(max_entries=4)
-        tree.insert_point((1, 1), "a")
-        tree.insert_point((1, 1), "b")
+        tree.insert(RTreeEntry((1, 1), "a"))
+        tree.insert(RTreeEntry((1, 1), "b"))
         removed = tree.remove((1, 1), match=lambda e: e.payload == "b")
         assert removed.payload == "b"
         remaining = [e.payload for e in tree.entries()]
@@ -211,6 +212,52 @@ class TestInsertDelete:
         assert sorted(e.point for e in tree.entries()) == points[4:]
         assert tree.bbox.as_tuple() == (4.0, 0.0, 7.0, 0.0)
 
+    def test_insert_never_creates_a_node(self):
+        points = random_points(64, seed=16)
+        tree = RTree.bulk_load(make_entries(points), max_entries=4)
+        nodes = [id(node) for node in walk_nodes(tree)]
+        height, leaves = tree.height(), tree.leaf_count
+        for i, point in enumerate(random_points(20, seed=17)):
+            leaf = tree._choose_path(RTreeEntry(point, None))[-1]
+            if len(leaf.children) + 1 >= 2 * tree.max_entries:
+                break  # the next insert rebuilds
+            tree.insert(RTreeEntry(point, frozenset({100 + i})))
+            assert [id(node) for node in walk_nodes(tree)] == nodes
+            assert leaf.bbox.contains_point(point)
+        assert i > 0
+        assert (tree.height(), tree.leaf_count) == (height, leaves)
+        TestInvariants.check_bboxes(tree.root)
+
+    def test_insert_rebuilds_when_the_leaf_reaches_twice_max_entries(self):
+        points = [(float(i), float(i)) for i in range(8)]
+        tree = RTree.bulk_load(make_entries(points), max_entries=4)
+        rebuilds = []
+        rebuild = tree._rebuild
+        tree._rebuild = lambda: (rebuilds.append(len(tree)), rebuild())
+        leaf = tree.root.children[1]
+        # The right leaf holds 4 entries; the fourth insert into it makes 8.
+        for i in range(3):
+            tree.insert(RTreeEntry((7.0, 7.0), frozenset({10 + i})))
+        assert len(leaf.children) == 7 and rebuilds == []
+        tree.insert(RTreeEntry((7.0, 7.0), frozenset({13})))
+        assert rebuilds == [12]
+        assert tree.leaf_count == 3
+        assert all(
+            len(node.children) <= 4 for node in walk_nodes(tree) if node.is_leaf
+        )
+        assert sorted(e.point for e in tree.entries()) == sorted(
+            points + [(7.0, 7.0)] * 4
+        )
+
+    def test_insert_into_an_empty_tree_fills_the_root_leaf_first(self):
+        tree = RTree(max_entries=4)
+        for i in range(7):
+            tree.insert(RTreeEntry((float(i), float(i)), i))
+        assert tree.root.is_leaf and len(tree.root.children) == 7
+        tree.insert(RTreeEntry((7.0, 7.0), 7))
+        assert tree.height() == 2 and tree.leaf_count == 2
+        assert tree.bbox.as_tuple() == (0.0, 0.0, 7.0, 7.0)
+
     def test_rebuild_keeps_the_average_leaf_fill_at_min(self):
         points = random_points(64, seed=15)
         tree = RTree.bulk_load(make_entries(points), max_entries=4)
@@ -232,31 +279,18 @@ class TestInsertDelete:
 
 
 class TestQueries:
-    def test_range_search_matches_scan(self):
-        points = random_points(300, seed=9)
-        tree = RTree.bulk_load(make_entries(points), max_entries=8)
-        box = BoundingBox(20, 20, 60, 70)
-        expected = sorted(p for p in points if box.contains_point(p))
-        found = sorted(e.point for e in tree.range_search(box))
-        assert found == expected
-
     def test_nearest_neighbors_match_scan(self):
         points = random_points(200, seed=10)
         tree = RTree.bulk_load(make_entries(points), max_entries=8)
         query = (33.3, 66.6)
         expected = sorted(points, key=lambda p: euclidean(p, query))[:5]
-        found = [e.point for _, e in tree.nearest_neighbors(query, k=5)]
+        found = [e.point for _, e in itertools.islice(tree.iter_nearest(query), 5)]
         assert found == expected
 
     def test_nearest_k_larger_than_size(self):
         points = random_points(10, seed=11)
         tree = RTree.bulk_load(make_entries(points), max_entries=4)
-        assert len(tree.nearest_neighbors((0, 0), k=50)) == 10
-
-    def test_nearest_invalid_k(self):
-        tree = RTree.bulk_load(make_entries([(0, 0)]), max_entries=4)
-        with pytest.raises(ValueError):
-            tree.nearest_neighbors((0, 0), k=0)
+        assert len(list(itertools.islice(tree.iter_nearest((0, 0)), 50))) == 10
 
     def test_iter_nearest_is_sorted(self):
         points = random_points(150, seed=12)
@@ -267,8 +301,6 @@ class TestQueries:
 
     def test_empty_tree_queries(self):
         tree = RTree()
-        assert tree.range_search(BoundingBox(0, 0, 1, 1)) == []
-        assert tree.nearest_neighbors((0, 0), k=3) == []
         assert list(tree.iter_nearest((0, 0))) == []
 
 

