@@ -75,8 +75,8 @@ def main() -> None:
     # 2b. Batched queries: a whole workload through the execution engine.
     # ------------------------------------------------------------------
     # query_batch answers many queries through one shared execution context
-    # (vectorized geometry kernels, shared route matrix, memoised
-    # sub-queries) and returns element-wise identical results to query().
+    # (vectorized geometry kernels, shared route matrix) and returns
+    # element-wise identical results to query().
     workload_queries = workload.query_routes(20, length=5, interval=1.0)
 
     started = time.perf_counter()

@@ -247,11 +247,10 @@ def time_batch_throughput(
     ``repeats`` re-times each side that many times and keeps the fastest
     observation (the standard way to damp GC pauses and scheduler noise on
     shared machines; CI uses 3).  The engine caches are cleared before
-    every batch repeat so each one measures the same cold-cache work —
-    otherwise divide & conquer repeats would be served from the memoised
-    sub-queries and the "speedup" would measure the cache, not the batch
-    execution.  The sharded path pays its pool start-up inside the timed
-    region on every repeat, so its speedup is end-to-end honest.
+    every batch repeat so each one measures the same cold-cache work,
+    route-matrix build included.  The sharded path pays its pool start-up
+    inside the timed region on every repeat, so its speedup is end-to-end
+    honest.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")

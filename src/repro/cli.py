@@ -535,10 +535,10 @@ def command_query(args: argparse.Namespace) -> int:
 
 
 def _reuse_stats_line(context) -> str:
-    """One-line summary of the context's cross-query reuse counters."""
+    """One-line summary of the context's work-reuse counters."""
     return (
-        f"subquery cache: {context.subquery_hits} hits, "
-        f"{context.subquery_misses} misses; "
+        f"divide-conquer sub-queries: {context.subquery_misses} run, "
+        f"{context.subquery_hits} repeated points skipped; "
         f"shard fallbacks: {context.shard_fallbacks}"
     )
 

@@ -121,7 +121,7 @@ class RkNNTProcessor:
             routes, max_entries=max_entries, exclude_route_ids=self._excluded
         )
         self.transition_index = TransitionIndex(transitions, max_entries=max_entries)
-        #: Shared engine state (route matrices, memoised sub-queries) reused
+        #: Shared engine state (route matrices, radius tables) reused
         #: by every query this processor answers; see ``repro.engine``.
         self.engine_context = ExecutionContext(
             self.route_index, self.transition_index
@@ -377,10 +377,7 @@ class RkNNTProcessor:
 
         * the vectorized geometry kernels (``backend="auto"`` selects numpy)
           testing whole R-tree child/entry blocks per call,
-        * the flattened route matrix shared by every verification stage,
-        * memoised single-point sub-queries (divide & conquer only; they
-          hit only when query routes share a point, 1 lookup in 160 on a
-          traced ``analytics-batch`` run), and
+        * the flattened route matrix shared by every verification stage, and
         * with ``workers >= 1``, sharding across a process pool (the
           :class:`~repro.engine.parallel.ShardedExecutor`), which sidesteps
           the GIL entirely — one private execution context per worker,
@@ -401,8 +398,8 @@ class RkNNTProcessor:
             ``>= 2`` and spare CPUs).  While a persistent pool is live
             (:meth:`serving_pool` scope), any ``workers >= 1`` call dispatches
             through it — reusing its warm workers — instead of spawning a
-            per-call pool.  Worker sub-query caches are private, so the
-            parent context's caches are neither used nor warmed.
+            per-call pool.  Worker caches are private, so the parent
+            context's caches are neither used nor warmed.
         deadline_ms:
             Time budget for the whole batch, in milliseconds.  On expiry
             the call raises a typed
@@ -419,9 +416,7 @@ class RkNNTProcessor:
             to per-query :meth:`query` calls.
         """
         semantics = Semantics.coerce(semantics)
-        plan = QueryPlan.for_method(
-            method, backend=backend, share_subquery_cache=True
-        ).resolved()
+        plan = QueryPlan.for_method(method, backend=backend).resolved()
         if deadline_ms is None:
             deadline_ms = resilience.default_deadline_ms()
         deadline = resilience.Deadline.from_ms(deadline_ms)

@@ -15,7 +15,7 @@ This package factors that pipeline out of the per-method modules:
   which geometry backend to run on);
 * :mod:`repro.engine.context` — :class:`ExecutionContext`, the per-dataset
   caches shared across queries of a workload (flattened route matrices for
-  vectorized verification, memoised single-point sub-query answers);
+  vectorized verification, k-th-route radius tables for planning);
 * :mod:`repro.engine.filterset` — the filtering set ``S_filter`` with packed
   array views for the vectorized kernels;
 * :mod:`repro.engine.executor` — :class:`QueryExecutor` (the staged

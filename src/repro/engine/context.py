@@ -1,38 +1,31 @@
 """Per-dataset execution state shared across the queries of a workload.
 
 Answering one RkNNT query needs nothing beyond the two indexes; answering a
-*workload* of queries profitably shares two further structures, both owned by
-:class:`ExecutionContext`:
+*workload* of queries profitably shares the **route matrix**, owned by
+:class:`ExecutionContext`: every (non-excluded) route's points flattened
+into coordinate arrays with per-route offsets, which is what the vectorized
+verification kernel (:func:`repro.geometry.kernels.count_closer_routes`)
+reduces over.  Building it is O(total route points); sharing it across a
+batch amortises that to nothing.  The matrix is *chunked by route blocks*
+(:data:`MATRIX_BLOCK_ROWS` bounds the point rows per block).  What bounds
+verification memory is the kernel, not the blocks: it reduces the
+candidates in row chunks of at most
+:data:`repro.geometry.kernels.ROUTE_CHUNK_ELEMENTS` distances, in two
+buffers allocated once per call.
 
-* the **route matrix** — every (non-excluded) route's points flattened into
-  coordinate arrays with per-route offsets, which is what the vectorized
-  verification kernel (:func:`repro.geometry.kernels.count_closer_routes`)
-  reduces over.  Building it is O(total route points); sharing it across a
-  batch amortises that to nothing.  The matrix is *chunked by route blocks*
-  (:data:`MATRIX_BLOCK_ROWS` bounds the point rows per block).  What
-  bounds verification memory is the kernel, not the blocks: it reduces the
-  candidates in row chunks of at most
-  :data:`repro.geometry.kernels.ROUTE_CHUNK_ELEMENTS` distances, in two
-  buffers allocated once per call.
-* the **single-point answer cache** — confirmed endpoint maps of single-point
-  sub-queries, keyed by ``(point, k, excluded, voronoi)``.  Divide & conquer
-  decomposes every query into per-point sub-queries (Lemma 3) and looks
-  each one up here, but query routes seldom share a point: a traced
-  ``analytics-batch`` run (seed 1, 10 s) counts 1 hit in 160 lookups.
-  Removing the cache waits on a benchmark change that drops its
-  ``context.subquery_*`` counters (ROADMAP item 5).
-
-A third structure serves the planning pre-computation (Algorithm 5), which
+A second structure serves the planning pre-computation (Algorithm 5), which
 asks one single-point query per bus stop: the **k-th-route radius table**
 (:meth:`ExecutionContext.knn_radii`) — every transition endpoint ``p`` with
 ``r_k²(p)``, its ``k``-th smallest squared route distance.  ``p`` is in
 ``RkNNT({q})`` iff ``|p − q|² <= r_k²(p)``, so once the table is built each
 stop costs one pass over the endpoints (see ``docs/architecture.md``).
 
-All three are invalidated automatically through the indexes' ``version``
+Both are invalidated automatically through the indexes' ``version``
 counters, so dynamic route/transition updates keep the context correct
-without manual cache management: any update clears the memoised
-single-point answers wholesale.
+without manual cache management.  The context keeps nothing per answered
+query: divide & conquer reuses a sub-query only within its own query (a
+repeated point is answered once), and ``subquery_hits`` /
+``subquery_misses`` count those skipped and run sub-queries.
 
 Contexts are also what the parallel execution layer ships to its worker
 processes (see :mod:`repro.engine.parallel`): pickling a context serialises
@@ -47,23 +40,11 @@ and identical under the ``fork`` and ``spawn`` start methods.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry import kernels
 from repro.index.route_index import RouteIndex
 from repro.index.transition_index import TransitionIndex
-
-#: Key of a memoised single-point sub-query:
-#: (point, k, excluded route ids, use_voronoi).
-SubqueryKey = Tuple[Tuple[float, float], int, FrozenSet[int], bool]
-
-#: Memoised answer: transition id -> confirmed endpoint labels.
-ConfirmedMap = Dict[int, FrozenSet[str]]
-
-#: Soft cap on the number of memoised sub-queries; the cache is cleared
-#: wholesale when it is reached (simple and good enough for workloads whose
-#: distinct query points are far below the cap).
-SUBQUERY_CACHE_LIMIT = 100_000
 
 #: The number of flattened point rows per route block of the verification
 #: matrix.  One block is ~1.5 MB of float64 coordinates, far below any
@@ -193,13 +174,12 @@ class ExecutionContext:
         #: The attached :class:`repro.engine.store.Store` (keeps the file
         #: mapping reachable for introspection).  Never pickled.
         self._store_attachment: Optional[object] = None
-        self._subqueries: Dict[SubqueryKey, ConfirmedMap] = {}
-        self._subquery_versions: Tuple[int, int] = (-1, -1)
         #: k-th-route radius tables keyed by (k, backend), all built at
         #: ``_knn_radii_versions``.
         self._knn_radii: Dict[Tuple[int, str], KnnRadii] = {}
         self._knn_radii_versions: Tuple[int, int] = (-1, -1)
-        #: Cache statistics (useful for benchmark reporting).
+        #: Divide & conquer sub-queries skipped because their point repeats
+        #: earlier in the same query, and sub-queries actually run.
         self.subquery_hits = 0
         self.subquery_misses = 0
         #: Batches that asked for a per-call worker pool but ran serially
@@ -311,33 +291,6 @@ class ExecutionContext:
         return KnnRadii(coords, tags, radii)
 
     # ------------------------------------------------------------------
-    # Single-point sub-query cache (divide & conquer)
-    # ------------------------------------------------------------------
-    def _validate_subqueries(self) -> None:
-        versions = self._current_versions()
-        if versions == self._subquery_versions:
-            return
-        self._subqueries.clear()
-        self._subquery_versions = versions
-
-    def subquery_lookup(self, key: SubqueryKey) -> Optional[ConfirmedMap]:
-        """Memoised answer of a single-point sub-query, or ``None``."""
-        self._validate_subqueries()
-        answer = self._subqueries.get(key)
-        if answer is None:
-            self.subquery_misses += 1
-        else:
-            self.subquery_hits += 1
-        return answer
-
-    def subquery_store(self, key: SubqueryKey, confirmed: ConfirmedMap) -> None:
-        """Memoise the answer of a single-point sub-query."""
-        self._validate_subqueries()
-        if len(self._subqueries) >= SUBQUERY_CACHE_LIMIT:
-            self._subqueries.clear()
-        self._subqueries[key] = confirmed
-
-    # ------------------------------------------------------------------
     # Pickling (parallel execution layer)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -345,16 +298,14 @@ class ExecutionContext:
 
         Shipping a context to a shard worker (see
         :mod:`repro.engine.parallel`) must serialise the datasets and
-        indexes exactly once — the lazily-built route matrix, the radius
-        tables and the memoised sub-query answers are derived, potentially
-        large, and cheap to rebuild per worker, so they are stripped here.
+        indexes exactly once — the lazily-built route matrix and the radius
+        tables are derived, potentially large, and cheap to rebuild per
+        worker, so they are stripped here.
         """
         state = self.__dict__.copy()
         state["_route_matrix"] = None
         state["_route_matrix_version"] = -1
         state["_store_attachment"] = None
-        state["_subqueries"] = {}
-        state["_subquery_versions"] = (-1, -1)
         state["_knn_radii"] = {}
         state["_knn_radii_versions"] = (-1, -1)
         state["subquery_hits"] = 0
@@ -379,8 +330,6 @@ class ExecutionContext:
         memory or to time cold-cache execution)."""
         self._route_matrix = None
         self._route_matrix_version = -1
-        self._subqueries.clear()
-        self._subquery_versions = (-1, -1)
         self._knn_radii = {}
         self._knn_radii_versions = (-1, -1)
         self.subquery_hits = 0
@@ -412,6 +361,5 @@ class ExecutionContext:
     def __repr__(self) -> str:
         return (
             f"ExecutionContext(routes={len(self.route_index.routes)}, "
-            f"transitions={len(self.transition_index.transitions)}, "
-            f"cached_subqueries={len(self._subqueries)})"
+            f"transitions={len(self.transition_index.transitions)})"
         )

@@ -17,8 +17,8 @@ element-wise identical answers; the differential tests in
 semantics, against the brute-force oracle.
 
 The module-level :func:`execute` function adds the strategy layer on top
-(per-point decomposition for divide & conquer, with sub-query memoisation
-through the :class:`~repro.engine.context.ExecutionContext`) and is what
+(per-point decomposition for divide & conquer, answering each distinct
+point of a query once) and is what
 :class:`~repro.core.rknnt.RkNNTProcessor` calls — once per query, against
 its shared context, for both single and batch workloads.  One further
 strategy, ``KNN_RADIUS``, is internal to the planning pre-computation: it
@@ -536,46 +536,35 @@ def _run_decomposed(
 
     Sub-query statistics are *summed* into the aggregate (every counter and
     both phase timings), so the parent result reports the full cost of all
-    sub-queries.  Memoised sub-queries contribute only to ``subqueries`` —
-    no traversal work happened for them.
+    sub-queries.  Each distinct point is answered once, in order; a repeated
+    point contributes only to ``subqueries`` — no traversal work happens for
+    it.  The context's ``subquery_misses`` / ``subquery_hits`` count the
+    sub-queries run and the repeats skipped.  Nothing outlives the query.
     """
     points = [(float(p[0]), float(p[1])) for p in query_points]
     if not points:
         raise ValueError("query must contain at least one point")
 
-    aggregate = QueryStatistics(subqueries=0)
+    distinct = list(dict.fromkeys(points))
+    repeats = len(points) - len(distinct)
+    aggregate = QueryStatistics(subqueries=repeats)
     confirmed: ConfirmedEndpoints = {}
-    for point in points:
+    for point in distinct:
         if deadline is not None:
             deadline.check("sub-query")
-        key = (point, k, excluded, plan.use_voronoi)
-        cached = (
-            context.subquery_lookup(key) if plan.share_subquery_cache else None
+        executor = QueryExecutor(
+            context,
+            k,
+            use_voronoi=plan.use_voronoi,
+            exclude_route_ids=excluded,
+            backend=plan.backend,
+            deadline=deadline,
         )
-        if cached is None:
-            executor = QueryExecutor(
-                context,
-                k,
-                use_voronoi=plan.use_voronoi,
-                exclude_route_ids=excluded,
-                backend=plan.backend,
-                deadline=deadline,
-            )
-            sub_confirmed = executor.run([point])
-            aggregate.merge(executor.stats)
-            if plan.share_subquery_cache:
-                context.subquery_store(
-                    key,
-                    {
-                        transition_id: frozenset(endpoints)
-                        for transition_id, endpoints in sub_confirmed.items()
-                    },
-                )
-        else:
-            sub_confirmed = cached
-            aggregate.subqueries += 1
-        for transition_id, endpoints in sub_confirmed.items():
+        for transition_id, endpoints in executor.run([point]).items():
             confirmed.setdefault(transition_id, set()).update(endpoints)
+        aggregate.merge(executor.stats)
+    context.subquery_misses += len(distinct)
+    context.subquery_hits += repeats
     return confirmed, aggregate
 
 

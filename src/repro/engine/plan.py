@@ -50,29 +50,15 @@ class QueryPlan:
         confirmations (Lemma 3) instead of one multi-point pass.
     backend:
         Geometry-kernel backend: ``"auto"``, ``"numpy"`` or ``"python"``.
-    share_subquery_cache:
-        Let decomposed sub-queries reuse (and populate) the execution
-        context's single-point answer cache.  Enabled for batch workloads
-        where repeated points are common (divide & conquer over overlapping
-        routes); disabled for one-shot queries so their reported statistics
-        reflect the work actually done.  The planning pre-computation does
-        not use it: its per-stop queries read the context's k-th-route
-        radius table instead (``KNN_RADIUS``).
     """
 
     method: str
     use_voronoi: bool
     decompose: bool
     backend: str = BACKEND_AUTO
-    share_subquery_cache: bool = False
 
     @classmethod
-    def for_method(
-        cls,
-        method: str,
-        backend: str = BACKEND_AUTO,
-        share_subquery_cache: bool = False,
-    ) -> "QueryPlan":
+    def for_method(cls, method: str, backend: str = BACKEND_AUTO) -> "QueryPlan":
         """The canned plan for one of the paper's three method names."""
         if method not in METHODS:
             raise ValueError(
@@ -83,7 +69,6 @@ class QueryPlan:
             use_voronoi=(method in (VORONOI, DIVIDE_CONQUER)),
             decompose=(method == DIVIDE_CONQUER),
             backend=backend,
-            share_subquery_cache=share_subquery_cache,
         )
 
     def resolved(self) -> "QueryPlan":

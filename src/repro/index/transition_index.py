@@ -5,8 +5,8 @@ mutation stream that powers delta maintenance: every dynamic update emits a
 :class:`TransitionDelta` to the registered listeners *after* the tree has
 been updated, so a listener observing a delta always sees the post-mutation
 index state.  The continuous-query layer (:mod:`repro.engine.continuous`)
-and the execution context's delta-aware sub-query cache patching
-(:mod:`repro.engine.context`) both consume this stream.
+and the serving pool's replica sync (:mod:`repro.engine.parallel`) both
+consume this stream.
 """
 
 from __future__ import annotations

